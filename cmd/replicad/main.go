@@ -180,7 +180,6 @@ func run() error {
 	jobID := flag.Uint64("job", 0, "wire-trace job id stamped into frame trace contexts (0 = derived from the dataset name; all ranks must agree)")
 	bundleDir := flag.String("bundle-dir", os.Getenv("DEDUPCR_BUNDLE_DIR"), "write post-mortem failure bundles under this directory (default $DEDUPCR_BUNDLE_DIR; empty disables)")
 	stats := flag.Bool("stats", false, "dump Prometheus-style counters to stderr on exit")
-	legacyPutSummary := flag.Bool("legacy-put-summary", false, "expose put latency as the old quantile summary instead of the bucketed histogram")
 	clusterOut := flag.String("cluster", "", "rank 0: write the gathered cluster telemetry JSON (ClusterDump for dump, ClusterRestore for restore) to this file")
 	timeout := flag.Duration("timeout", 0, "abort the collective operation after this long (0 = no deadline); on expiry every rank unblocks with a collective error")
 	retries := flag.Int("retries", 1, "attempts per window put; transient transport failures are retried up to this many times")
@@ -344,7 +343,6 @@ func run() error {
 	case "dump":
 		err = doDump(ctx, comm, store, opts, verbArgs, dumpOutputs{
 			stats:      *stats,
-			promOpts:   metrics.PromOptions{LegacyPutSummary: *legacyPutSummary},
 			clusterOut: *clusterOut,
 		})
 	case "restore":
@@ -427,10 +425,21 @@ func writeStoreStats(w io.Writer, rank int, t *storage.Timed) {
 	emit("dedupcr_store_write_latency_seconds", "Local store write latency.", t.WriteLatency())
 }
 
+// printPhases prints one rank's nonzero phase times of kind, then the
+// total.
+func printPhases(rank int, kind metrics.PhaseKind, t metrics.PhaseTimes) {
+	fmt.Printf("rank %d: phases:", rank)
+	for _, p := range kind.Phases() {
+		if d := t.Dur[p]; d > 0 {
+			fmt.Printf(" %s=%s", p, metrics.Duration(d))
+		}
+	}
+	fmt.Printf(" total=%s\n", metrics.Duration(t.Total))
+}
+
 // dumpOutputs bundles doDump's reporting knobs.
 type dumpOutputs struct {
 	stats      bool
-	promOpts   metrics.PromOptions
 	clusterOut string
 }
 
@@ -475,18 +484,12 @@ func doDump(ctx context.Context, comm collectives.Comm, store storage.Store, opt
 	fmt.Printf("rank %d: dumped %d bytes (%d chunks, %d locally unique); stored %d, sent %d, received %d\n",
 		comm.Rank(), m.DatasetBytes, m.TotalChunks, m.LocalUniqueChunks,
 		m.StoredBytes, m.SentBytes, m.RecvBytes)
-	fmt.Printf("rank %d: phases:", comm.Rank())
-	for _, name := range metrics.PhaseNames {
-		if d := m.Phases.ByName(name); d > 0 {
-			fmt.Printf(" %s=%s", name, metrics.Duration(d))
-		}
-	}
-	fmt.Printf(" total=%s\n", metrics.Duration(m.Phases.Total))
+	printPhases(comm.Rank(), metrics.DumpPipeline, m.Phases.PhaseTimes)
 	if m.PutRetries > 0 {
 		fmt.Printf("rank %d: %d window puts retried after transient faults\n", comm.Rank(), m.PutRetries)
 	}
 	if out.stats {
-		m.WritePrometheusOpts(os.Stderr, out.promOpts)
+		m.WritePrometheus(os.Stderr)
 	}
 
 	// Gather the whole group's metrics to rank 0 in-band. Every rank
@@ -556,13 +559,7 @@ func doRestore(ctx context.Context, comm collectives.Comm, store storage.Store, 
 	fmt.Printf("rank %d: restored %d bytes of %q (%d chunks: %d local, %d fetched from %d peers; read amp %.3fx)\n",
 		comm.Rank(), m.LogicalBytes, name, m.TotalChunks, m.LocalChunks,
 		m.FetchedChunks, m.SourceRanks, m.ReadAmplificationBytes())
-	fmt.Printf("rank %d: phases:", comm.Rank())
-	for _, pn := range metrics.RestorePhaseNames {
-		if d := m.Phases.ByName(pn); d > 0 {
-			fmt.Printf(" %s=%s", pn, metrics.Duration(d))
-		}
-	}
-	fmt.Printf(" total=%s\n", metrics.Duration(m.Phases.Total))
+	printPhases(comm.Rank(), metrics.RestorePipeline, m.Phases)
 	if out.stats {
 		m.WritePrometheus(os.Stderr)
 	}

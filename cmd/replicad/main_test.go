@@ -195,7 +195,7 @@ func TestClusterEndpoints(t *testing.T) {
 	dumps := make([]metrics.Dump, 3)
 	for r := range dumps {
 		dumps[r] = metrics.Dump{Rank: r, SentBytes: int64(1000 * (r + 1)), StoredBytes: 4096}
-		dumps[r].Phases.Put = time.Duration(r+1) * 10 * time.Millisecond
+		dumps[r].Phases.Dur[metrics.Put] = time.Duration(r+1) * 10 * time.Millisecond
 		dumps[r].Phases.Total = time.Duration(r+1) * 12 * time.Millisecond
 		dumps[r].BarrierExit = time.Unix(1700000000, int64(r)*1000)
 	}

@@ -9,11 +9,13 @@
 //     ending in internal/core or internal/telemetry), a blocking
 //     collective call — collectives.Barrier/Bcast/Gather/Allgather/
 //     Allreduce/Reduce/AllgatherInt64, or (*collectives.Window).Wait —
-//     must be lexically preceded, in the same function, by a call to
-//     collectives.NotePhase (directly or inside an earlier closure such
-//     as the pipeline's begin() helper). Helpers that run with the phase
-//     already published by their caller carry a `//dedupvet:phased` doc
-//     directive.
+//     must be lexically preceded, in the same function, by a phase
+//     publication: a call to collectives.NotePhase (directly or inside an
+//     earlier closure), or a call to a function or method of the same
+//     package whose body calls NotePhase — such as core's
+//     PhaseScope.Begin, the single phase scope of the pipelines. Helpers
+//     that run with the phase already published by their caller carry a
+//     `//dedupvet:phased` doc directive.
 //
 //  2. Attributed construction. Outside the collectives package itself, a
 //     composite literal of collectives.CollectiveError must set the Phase
@@ -70,6 +72,7 @@ func run(pass *analysis.Pass) error {
 		}
 	}
 	if inPipeline {
+		publishers := phasePublishers(pass)
 		for _, fn := range pass.FuncDecls() {
 			if fn.Body == nil {
 				continue
@@ -77,7 +80,7 @@ func run(pass *analysis.Pass) error {
 			if _, phased := analysis.FuncDirective(fn, Directive); phased {
 				continue
 			}
-			checkPhaseBeforeBlocking(pass, fn)
+			checkPhaseBeforeBlocking(pass, fn, publishers)
 		}
 	}
 	if !pass.PathHasSuffix(collectivesPkg) {
@@ -86,8 +89,34 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
+// isNotePhase reports whether call invokes collectives.NotePhase.
+func isNotePhase(pass *analysis.Pass, call *ast.CallExpr) bool {
+	callee := pass.CalleeFunc(call)
+	return callee != nil && callee.Name() == "NotePhase" &&
+		analysis.PkgPathHasSuffix(analysis.FuncPkgPath(callee), collectivesPkg)
+}
+
+// phasePublishers returns the package's functions and methods whose body
+// calls collectives.NotePhase: calling one publishes a phase.
+func phasePublishers(pass *analysis.Pass) map[*types.Func]bool {
+	out := make(map[*types.Func]bool)
+	for _, fn := range pass.FuncDecls() {
+		obj, ok := pass.TypesInfo.Defs[fn.Name].(*types.Func)
+		if !ok || fn.Body == nil {
+			continue
+		}
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok && isNotePhase(pass, call) {
+				out[obj] = true
+			}
+			return !out[obj]
+		})
+	}
+	return out
+}
+
 // checkPhaseBeforeBlocking enforces rule 1 on one function.
-func checkPhaseBeforeBlocking(pass *analysis.Pass, fn *ast.FuncDecl) {
+func checkPhaseBeforeBlocking(pass *analysis.Pass, fn *ast.FuncDecl, publishers map[*types.Func]bool) {
 	type site struct {
 		pos  token.Pos
 		name string
@@ -100,6 +129,10 @@ func checkPhaseBeforeBlocking(pass *analysis.Pass, fn *ast.FuncDecl) {
 			return true
 		}
 		callee := pass.CalleeFunc(call)
+		if publishers[callee] {
+			notePos = append(notePos, call.Pos())
+			return true
+		}
 		if callee == nil || !analysis.PkgPathHasSuffix(analysis.FuncPkgPath(callee), collectivesPkg) {
 			return true
 		}

@@ -8,5 +8,5 @@ import (
 )
 
 func TestPhaseAttr(t *testing.T) {
-	analysistest.Run(t, phaseattr.Analyzer, "internal/core", "util")
+	analysistest.Run(t, phaseattr.Analyzer, "internal/core", "internal/telemetry", "util")
 }

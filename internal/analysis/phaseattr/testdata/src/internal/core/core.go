@@ -84,3 +84,26 @@ func restoreTelemetryUnphased(c collectives.Comm, enc []byte) ([][]byte, error) 
 func fetchServeLoop(c collectives.Comm) error {
 	return collectives.Barrier(c)
 }
+
+// phaseScope mirrors core's PhaseScope: its Begin publishes the phase,
+// so a call to it counts as a phase publication.
+type phaseScope struct{ c collectives.Comm }
+
+func (s *phaseScope) Begin(phase string) func() {
+	collectives.NotePhase(s.c, phase)
+	return func() {}
+}
+
+// scopedBarrier enters its phase through the scope: clean.
+func scopedBarrier(s *phaseScope, c collectives.Comm) error {
+	done := s.Begin("barrier")
+	defer done()
+	return collectives.Barrier(c)
+}
+
+// scopedTooLate enters the phase only after blocking.
+func scopedTooLate(s *phaseScope, c collectives.Comm) error {
+	err := collectives.Barrier(c) // want "blocking collective Barrier without a preceding NotePhase"
+	s.Begin("barrier")()
+	return err
+}

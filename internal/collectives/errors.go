@@ -272,34 +272,95 @@ func NotePhase(c Comm, phase string) {
 	}
 }
 
-// WatchContext aborts the communicator when ctx is cancelled, so every
-// rank blocked in a collective unblocks promptly with a typed error. The
-// returned stop function releases the watcher (idempotent); callers must
-// invoke it when the watched operation completes.
-func WatchContext(ctx context.Context, c Comm) (stop func()) {
+// watch is a context attached to transports, with the abort its
+// cancellation triggers.
+type watch struct {
+	ctx     context.Context
+	abort   func(cause error)
+	stopped atomic.Bool
+}
+
+// fire aborts with the context's cause unless the watch was stopped: a
+// cancellation racing the stop call must not poison the communicator
+// after the watched operation already completed.
+func (w *watch) fire() {
+	if !w.stopped.Load() {
+		w.abort(context.Cause(w.ctx))
+	}
+}
+
+// watchSlot is embedded by transports: every Send and Recv checks the
+// watched context on entry, so an operation sees a cancellation that
+// happened before it. The watcher goroutine only has to unblock
+// operations already waiting.
+type watchSlot struct {
+	w atomic.Pointer[watch]
+}
+
+func (s *watchSlot) slot() *watchSlot { return s }
+
+// cancelled fires the watched abort when the watched context is done and
+// reports whether it was; the transport's abort state then fails the
+// operation.
+func (s *watchSlot) cancelled() bool {
+	w := s.w.Load()
+	if w == nil {
+		return false
+	}
+	select {
+	case <-w.ctx.Done():
+		w.fire()
+		return true
+	default:
+		return false
+	}
+}
+
+// watchContext attaches ctx to the transports of comms: on cancellation
+// abort runs, synchronously at the next Send or Recv, or from a watcher
+// goroutine for operations already blocked. The returned stop function
+// (idempotent) disarms the watch and restores the watches it replaced,
+// so nested watches on one transport unwind in order.
+func watchContext(ctx context.Context, abort func(cause error), comms ...Comm) (stop func()) {
 	if ctx == nil || ctx.Done() == nil {
 		return func() {}
 	}
-	done := make(chan struct{})
-	var stopped atomic.Bool
+	w := &watch{ctx: ctx, abort: abort}
+	var slots []*watchSlot
+	var prevs []*watch
+	for _, c := range comms {
+		if t, ok := unwrapComm(c).(interface{ slot() *watchSlot }); ok {
+			slots = append(slots, t.slot())
+			prevs = append(prevs, t.slot().w.Swap(w))
+		}
+	}
+	released := make(chan struct{})
 	go func() {
 		select {
 		case <-ctx.Done():
-			// A cancellation racing the stop call must not poison the
-			// communicator after the watched operation already completed.
-			if !stopped.Load() {
-				Abort(c, context.Cause(ctx))
-			}
-		case <-done:
+			w.fire()
+		case <-released:
 		}
 	}()
 	var once sync.Once
 	return func() {
 		once.Do(func() {
-			stopped.Store(true)
-			close(done)
+			w.stopped.Store(true)
+			for i, s := range slots {
+				s.w.CompareAndSwap(w, prevs[i])
+			}
+			close(released)
 		})
 	}
+}
+
+// WatchContext aborts the communicator when ctx is cancelled, so every
+// rank blocked in a collective unblocks promptly with a typed error, and
+// an operation entered after the cancellation fails at once. The
+// returned stop function releases the watch (idempotent); callers must
+// invoke it when the watched operation completes.
+func WatchContext(ctx context.Context, c Comm) (stop func()) {
+	return watchContext(ctx, func(cause error) { Abort(c, cause) }, c)
 }
 
 // IsTransient reports whether a transport error is worth retrying: plain

@@ -67,9 +67,9 @@ type Fault struct {
 	// matches every rank. Plans are typically built once and shared by
 	// all ranks of a test, so the filter keeps one plan expressive.
 	Rank int
-	// Phase restricts the fault to one dump/restore pipeline phase (the
-	// names of metrics.PhaseNames, e.g. "reduction", "put", "commit"),
-	// as reported through NotePhase. Empty matches every phase.
+	// Phase restricts the fault to one phase of the metrics phase table
+	// (e.g. "reduction", "put", "assemble", "restore-barrier"), as
+	// reported through NotePhase. Empty matches every phase.
 	Phase string
 	// Peer restricts Drop/Delay/Error faults to operations with this
 	// peer rank; AnyRank (-1) matches any peer. (The zero value matches

@@ -79,6 +79,7 @@ type InprocComm struct {
 	rank  int
 	seq   atomic.Uint32
 	statsCounter
+	watchSlot
 }
 
 var _ Comm = (*InprocComm)(nil)
@@ -122,6 +123,7 @@ func (c *InprocComm) Send(to int, tag Tag, data []byte) error {
 	if c.group.closed.Load() {
 		return ErrClosed
 	}
+	c.cancelled()
 	// A dead or aborted rank stops sending: its peers either already
 	// observed the failure or will, and failing fast here unblocks
 	// collectives at their next step instead of their next receive.
@@ -141,6 +143,11 @@ func (c *InprocComm) Send(to int, tag Tag, data []byte) error {
 func (c *InprocComm) Recv(from int, tag Tag) ([]byte, error) {
 	if err := checkRecv(c, from, tag); err != nil {
 		return nil, err
+	}
+	if c.cancelled() {
+		if e := c.group.boxes[c.rank].abortErr(); e != nil {
+			return nil, e
+		}
 	}
 	data, err := c.group.boxes[c.rank].get(from, tag)
 	if err != nil {
@@ -177,28 +184,18 @@ func RunCtx(ctx context.Context, n int, body func(context.Context, Comm) error) 
 	}
 	defer g.Close()
 
-	stop := func() {}
-	if ctx != nil && ctx.Done() != nil {
-		watch := make(chan struct{})
-		go func() {
-			select {
-			case <-ctx.Done():
-				g.abortAll(&CollectiveError{Cause: context.Cause(ctx)})
-			case <-watch:
-			}
-		}()
-		var once sync.Once
-		stop = func() { once.Do(func() { close(watch) }) }
+	comms := make([]Comm, n)
+	for r := range comms {
+		if comms[r], err = g.Comm(r); err != nil {
+			return err
+		}
 	}
-	defer stop()
+	// A cancellation aborts the whole group, attributed to no rank.
+	defer watchContext(ctx, func(cause error) { g.abortAll(&CollectiveError{Cause: cause}) }, comms...)()
 
 	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for r := 0; r < n; r++ {
-		comm, err := g.Comm(r)
-		if err != nil {
-			return err
-		}
+	for r, comm := range comms {
 		wg.Add(1)
 		go func(rank int, c Comm) {
 			defer wg.Done()

@@ -51,6 +51,7 @@ type TCPComm struct {
 	aborted atomic.Pointer[CollectiveError]
 	wg      sync.WaitGroup
 	statsCounter
+	watchSlot
 }
 
 var _ Comm = (*TCPComm)(nil)
@@ -376,6 +377,7 @@ func (c *TCPComm) SendDeadline(to int, tag Tag, data []byte, deadline time.Time)
 	if err := checkPeer(c, to); err != nil {
 		return err
 	}
+	c.cancelled()
 	if e := c.aborted.Load(); e != nil {
 		return e
 	}
@@ -430,6 +432,11 @@ func (c *TCPComm) SendDeadline(to int, tag Tag, data []byte, deadline time.Time)
 func (c *TCPComm) Recv(from int, tag Tag) ([]byte, error) {
 	if err := checkRecv(c, from, tag); err != nil {
 		return nil, err
+	}
+	if c.cancelled() {
+		if e := c.aborted.Load(); e != nil {
+			return nil, e
+		}
 	}
 	return c.box.get(from, tag)
 }

@@ -18,7 +18,6 @@ import (
 	"dedupcr/internal/metrics"
 	"dedupcr/internal/obs"
 	"dedupcr/internal/storage"
-	"dedupcr/internal/trace"
 )
 
 // tagMeta carries the RestoreMeta replicas between naive neighbours.
@@ -56,19 +55,6 @@ func prefix(p int) []int {
 		out = append(out, d)
 	}
 	return out
-}
-
-// beginPhase opens one pipeline phase: a trace span named after it plus a
-// wall-clock measurement accumulated into dst when the returned function
-// is called. Both sides are nil-safe, so uninstrumented runs pay only two
-// clock reads per phase.
-func beginPhase(rec *trace.Recorder, name string, dst *time.Duration) func() {
-	sp := rec.Begin(name)
-	start := time.Now()
-	return func() {
-		*dst += time.Since(start)
-		sp.End()
-	}
 }
 
 // DumpOutput is the paper's collective write primitive: every rank of c
@@ -111,10 +97,12 @@ func DumpOutputCtx(ctx context.Context, c collectives.Comm, store storage.Store,
 	}
 	stop := collectives.WatchContext(ctx, c)
 	defer stop()
-	var phase string
-	res, err := dumpOutput(c, store, buf, o, &phase)
+	var m metrics.Dump
+	ph := NewPhaseScope(c, o.Trace, &m.Phases.PhaseTimes)
+	defer ph.Close()
+	res, err := dumpOutput(c, store, buf, o, ph, &m)
 	if err != nil {
-		return nil, failCollective(c, err, phase)
+		return nil, failCollective(c, err, ph.Current())
 	}
 	return res, nil
 }
@@ -153,28 +141,16 @@ func failCollective(c collectives.Comm, err error, phase string) error {
 }
 
 // dumpOutput runs the dump pipeline with already-normalized options,
-// recording the currently running phase into curPhase for error
-// attribution.
-func dumpOutput(c collectives.Comm, store storage.Store, buf []byte, o Options, curPhase *string) (*Result, error) {
+// filling m and recording every phase through ph, which also holds the
+// phase a failure is attributed to.
+func dumpOutput(c collectives.Comm, store storage.Store, buf []byte, o Options, ph *PhaseScope, m *metrics.Dump) (*Result, error) {
 	me, n := c.Rank(), c.Size()
-	m := metrics.Dump{Rank: me, DatasetBytes: int64(len(buf))}
+	m.Rank, m.DatasetBytes = me, int64(len(buf))
 	dumpStart := time.Now()
 	dumpSpan := o.Trace.Begin("dump").
 		Arg("approach", o.Approach.String()).
 		Arg("bytes", fmt.Sprint(len(buf)))
 	defer dumpSpan.End()
-	// NotePhase labels the goroutine per phase for CPU profiles; drop the
-	// last label once the pipeline is done.
-	defer obs.ClearPhaseLabel()
-
-	// begin opens a pipeline phase and additionally publishes its name to
-	// the error-attribution slot and to the transport (NotePhase), which
-	// phase-scoped fault injection keys on.
-	begin := func(name string, dst *time.Duration) func() {
-		*curPhase = name
-		collectives.NotePhase(c, name)
-		return beginPhase(o.Trace, name, dst)
-	}
 
 	// Phase 1 — chunking and fingerprinting (every byte is hashed once).
 	// Every registered chunker (fixed, Rabin CDC, gear) exposes its
@@ -202,10 +178,10 @@ func dumpOutput(c collectives.Comm, store storage.Store, buf []byte, o Options, 
 	var done func()
 	switch {
 	case o.Parallelism > 1:
-		done = begin("chunking", &m.Phases.Chunking)
+		done = ph.Begin(metrics.Chunking)
 		cuts := cc.Cuts(buf)
 		done()
-		done = begin("fingerprint", &m.Phases.Fingerprint)
+		done = ph.Begin(metrics.Fingerprint)
 		if o.Approach == CollDedup {
 			leaf = fingerprint.NewTable(o.F, o.K)
 		}
@@ -228,19 +204,19 @@ func dumpOutput(c collectives.Comm, store storage.Store, buf []byte, o Options, 
 		m.Phases.FingerprintWorkers = busy
 		// The dedup filter ran inside the fingerprint wall time; only the
 		// leaf table's top-F trim remains.
-		done = begin("local-dedup", &m.Phases.LocalDedup)
+		done = ph.Begin(metrics.LocalDedup)
 		if leaf != nil {
 			leaf.Trim()
 		}
 		done()
 	default:
-		done = begin("chunking", &m.Phases.Chunking)
+		done = ph.Begin(metrics.Chunking)
 		cuts := cc.Cuts(buf)
 		done()
-		done = begin("fingerprint", &m.Phases.Fingerprint)
+		done = ph.Begin(metrics.Fingerprint)
 		chunks = chunk.FromCuts(buf, cuts)
 		done()
-		done = begin("local-dedup", &m.Phases.LocalDedup)
+		done = ph.Begin(metrics.LocalDedup)
 		uniq = localDedup(chunks)
 		done()
 	}
@@ -255,12 +231,12 @@ func dumpOutput(c collectives.Comm, store storage.Store, buf []byte, o Options, 
 	// partner identities are known (phase 5). Its cost files under the
 	// reduction phase for coll-dedup (the global view drives it) and
 	// under planning for the baselines (plain partner assignment).
-	classifyDst, classifyName := &m.Phases.Planning, "planning"
+	classifyPhase := metrics.Planning
 	if o.Approach == CollDedup {
-		classifyDst, classifyName = &m.Phases.Reduction, "reduction"
+		classifyPhase = metrics.Reduction
 	}
-	done = begin(classifyName, classifyDst)
-	items, hints, global, err := classify(c, chunks, uniq, leaf, o, &m)
+	done = ph.Begin(classifyPhase)
+	items, hints, global, err := classify(c, chunks, uniq, leaf, o, m)
 	done()
 	if err != nil {
 		return nil, fmt.Errorf("rank %d classify: %w", me, err)
@@ -271,7 +247,7 @@ func dumpOutput(c collectives.Comm, store storage.Store, buf []byte, o Options, 
 	// still shift in phase 5, totals cannot.
 	load := sendLoads(items, o.K)
 	pre := c.Stats()
-	done = begin("load-exchange", &m.Phases.LoadExchange)
+	done = ph.Begin(metrics.LoadExchange)
 	sendLoad, err := collectives.AllgatherInt64(c, load)
 	done()
 	if err != nil {
@@ -291,7 +267,7 @@ func dumpOutput(c collectives.Comm, store storage.Store, buf []byte, o Options, 
 			totals[r] += row[d]
 		}
 	}
-	done = begin("planning", &m.Phases.Planning)
+	done = ph.Begin(metrics.Planning)
 	shuffle := SelectShuffle(totals, o)
 	if o.Approach == CollDedup {
 		refineTargets(items, shuffle, o.K, me)
@@ -300,7 +276,7 @@ func dumpOutput(c collectives.Comm, store storage.Store, buf []byte, o Options, 
 	done()
 	if o.Approach == CollDedup {
 		pre = c.Stats()
-		done = begin("load-exchange", &m.Phases.LoadExchange)
+		done = ph.Begin(metrics.LoadExchange)
 		sendLoad, err = collectives.AllgatherInt64(c, load)
 		done()
 		if err != nil {
@@ -308,7 +284,7 @@ func dumpOutput(c collectives.Comm, store storage.Store, buf []byte, o Options, 
 		}
 		m.LoadExchangeBytes += c.Stats().BytesSent - pre.BytesSent
 	}
-	done = begin("planning", &m.Phases.Planning)
+	done = ph.Begin(metrics.Planning)
 	plan, err := NewPlan(shuffle, sendLoad, o.K)
 	done()
 	if err != nil {
@@ -320,7 +296,7 @@ func dumpOutput(c collectives.Comm, store storage.Store, buf []byte, o Options, 
 	// offsets, then drain the own window until full.
 	winSize := plan.WindowSize(me)
 	m.WindowBytes = winSize
-	done = begin("window-open", &m.Phases.WindowOpen)
+	done = ph.Begin(metrics.WindowOpen)
 	win := collectives.OpenWindow(c, winSize, c.NextSeq())
 	done()
 	m.PutLatency = metrics.NewHistogram()
@@ -330,18 +306,18 @@ func dumpOutput(c collectives.Comm, store storage.Store, buf []byte, o Options, 
 	win.PutTimeout = o.Retry.PutTimeout
 	var putRetries atomic.Int64
 	offs := plan.Offsets(me)
-	done = begin("put", &m.Phases.Put)
+	done = ph.Begin(metrics.Put)
 	if o.Parallelism > 1 && o.K > 2 {
-		err = putParallel(win, plan, items, offs, o, me, &m, &putRetries)
+		err = putParallel(win, plan, items, offs, o, me, m, &putRetries)
 	} else {
-		err = putSerial(win, plan, items, offs, o, me, &m, &putRetries)
+		err = putSerial(win, plan, items, offs, o, me, m, &putRetries)
 	}
 	done()
 	m.PutRetries = putRetries.Load()
 	if err != nil {
 		return nil, fmt.Errorf("rank %d %w", me, err)
 	}
-	done = begin("window-wait", &m.Phases.WindowWait)
+	done = ph.Begin(metrics.WindowWait)
 	recvBuf, err := win.Wait()
 	done()
 	if err != nil {
@@ -354,7 +330,7 @@ func dumpOutput(c collectives.Comm, store storage.Store, buf []byte, o Options, 
 	// reference is tracked so a failure anywhere from here on rolls the
 	// local store back to its pre-dump state (see rollbackDump) — the
 	// consistency half of the abort protocol.
-	done = begin("commit", &m.Phases.Commit)
+	done = ph.Begin(metrics.Commit)
 	recipe := chunk.BuildRecipe(chunks)
 	refs := make([]fingerprint.FP, 0, len(items))
 	commitErr := func() error {
@@ -366,7 +342,7 @@ func dumpOutput(c collectives.Comm, store storage.Store, buf []byte, o Options, 
 			m.StoredChunks++
 			m.StoredBytes += int64(len(it.ch.Data))
 		}
-		recvRefs, err := commitReceived(store, recvBuf, &m)
+		recvRefs, err := commitReceived(store, recvBuf, m)
 		refs = append(refs, recvRefs...)
 		if err != nil {
 			return fmt.Errorf("rank %d commit received: %w", me, err)
@@ -399,7 +375,7 @@ func dumpOutput(c collectives.Comm, store storage.Store, buf []byte, o Options, 
 	// it, i.e. before every rank has committed. So if the barrier fails,
 	// no rank can have completed the dump — every survivor rolls back and
 	// the dataset is globally absent, as if the dump never ran.
-	done = begin("barrier", &m.Phases.Barrier)
+	done = ph.Begin(metrics.Barrier)
 	err = collectives.Barrier(c)
 	done()
 	if err != nil {
@@ -414,7 +390,7 @@ func dumpOutput(c collectives.Comm, store storage.Store, buf []byte, o Options, 
 		m.BarrierExit = time.Now()
 	}
 	m.Phases.Total = time.Since(dumpStart)
-	return &Result{Metrics: m, Plan: plan, Global: global}, nil
+	return &Result{Metrics: *m, Plan: plan, Global: global}, nil
 }
 
 // putRetry drives one window put under the dump's retry policy: transient
@@ -431,7 +407,7 @@ func putRetry(win *collectives.Window, me, target int, off int64, rec []byte, rp
 			return err
 		}
 		retries.Add(1)
-		obs.Logf(obs.KindRetry, me, "put", 0, "put to rank %d retry %d/%d: %v", target, attempt, rp.Attempts, err)
+		obs.Logf(obs.KindRetry, me, metrics.Put.String(), 0, "put to rank %d retry %d/%d: %v", target, attempt, rp.Attempts, err)
 		if backoff > 0 {
 			time.Sleep(backoff)
 			backoff *= 2

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"dedupcr/internal/collectives"
+	"dedupcr/internal/metrics"
 	"dedupcr/internal/storage"
 )
 
@@ -153,6 +154,54 @@ func TestDumpKillPerPhase(t *testing.T) {
 			})
 			if err != nil {
 				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestRestoreKillPerPhase is the restore's failure matrix: a 4-rank
+// restore with one rank killed in each restore phase must surface a typed
+// CollectiveError on every survivor within the deadline, and every error
+// must name a restore phase — the victim's the one it was killed in,
+// never the bare "restore". The victim's node is replaced first, so it
+// fetches its metadata and chunks from peers in every phase.
+func TestRestoreKillPerPhase(t *testing.T) {
+	const n, victim = 4, 2
+	for _, phase := range []string{"restore-meta", "assemble", "restore-barrier"} {
+		t.Run(phase, func(t *testing.T) {
+			cluster := storage.NewCluster(n)
+			cleanDump(t, n, cluster, "ckpt-0")
+			cluster.Replace(victim)
+
+			plan := collectives.FaultPlan{Faults: []collectives.Fault{
+				{Kind: collectives.FaultKill, Rank: victim, Phase: phase, Peer: collectives.AnyRank},
+			}}
+			start := time.Now()
+			errs := runRanks(t, n, 5*time.Second, func(c collectives.Comm) error {
+				fc := collectives.InjectFaults(c, plan)
+				_, err := RestoreOutputCtx(context.Background(), fc, cluster.Node(c.Rank()), "ckpt-0", nil)
+				return err
+			})
+			if elapsed := time.Since(start); elapsed > 2*time.Second {
+				t.Errorf("survivors took %v to unblock, want < 2s", elapsed)
+			}
+			for r := 0; r < n; r++ {
+				var ce *collectives.CollectiveError
+				if !errors.As(errs[r], &ce) {
+					t.Fatalf("rank %d returned %v, want a *CollectiveError (rank %d killed in %q)", r, errs[r], victim, phase)
+				}
+				if ce.Phase == "restore" {
+					t.Errorf("rank %d blames the bare phase %q", r, ce.Phase)
+				}
+				if _, ok := metrics.PhaseByName(ce.Phase); !ok {
+					t.Errorf("rank %d blames %q, not a phase of the table", r, ce.Phase)
+				}
+				if r == victim && ce.Phase != phase {
+					t.Errorf("victim reports phase %q, want the injected %q", ce.Phase, phase)
+				}
+				if !errors.Is(errs[r], collectives.ErrInjected) {
+					t.Errorf("rank %d lost the injected root cause: %v", r, errs[r])
+				}
 			}
 		})
 	}

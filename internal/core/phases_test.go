@@ -60,18 +60,18 @@ func TestDumpPhases(t *testing.T) {
 				if p.Other() < 0 {
 					t.Errorf("rank %d: negative unattributed time %v", r, p.Other())
 				}
-				if p.Chunking <= 0 || p.Fingerprint <= 0 {
-					t.Errorf("rank %d: chunking %v / fingerprint %v, want both > 0", r, p.Chunking, p.Fingerprint)
+				if p.Dur[metrics.Chunking] <= 0 || p.Dur[metrics.Fingerprint] <= 0 {
+					t.Errorf("rank %d: chunking %v / fingerprint %v, want both > 0", r, p.Dur[metrics.Chunking], p.Dur[metrics.Fingerprint])
 				}
 				if approach == CollDedup {
-					if p.Reduction <= 0 {
+					if p.Dur[metrics.Reduction] <= 0 {
 						t.Errorf("rank %d: coll-dedup without reduction time", r)
 					}
 					if len(p.ReductionRoundTimes) == 0 {
 						t.Errorf("rank %d: no per-round reduction timings", r)
 					}
-				} else if p.Reduction != 0 {
-					t.Errorf("rank %d: %v has reduction time %v", r, approach, p.Reduction)
+				} else if p.Dur[metrics.Reduction] != 0 {
+					t.Errorf("rank %d: %v has reduction time %v", r, approach, p.Dur[metrics.Reduction])
 				}
 				if res.Metrics.SentChunks > 0 {
 					got := res.Metrics.PutLatency.Count()
@@ -138,7 +138,7 @@ func TestRestoreWithTrace(t *testing.T) {
 	for _, e := range tr.Events() {
 		seen[e.Name] = true
 	}
-	for _, want := range []string{"restore", "load-meta", "assemble", "barrier"} {
+	for _, want := range []string{"restore", "restore-meta", "assemble", "restore-barrier"} {
 		if !seen[want] {
 			t.Errorf("restore span %q missing", want)
 		}

@@ -10,7 +10,6 @@ import (
 	"dedupcr/internal/fetch"
 	"dedupcr/internal/fingerprint"
 	"dedupcr/internal/metrics"
-	"dedupcr/internal/obs"
 	"dedupcr/internal/storage"
 	"dedupcr/internal/trace"
 )
@@ -76,11 +75,14 @@ func RestoreOutputCtx(ctx context.Context, c collectives.Comm, store storage.Sto
 	}
 	stop := collectives.WatchContext(ctx, c)
 	defer stop()
-	res, err := RestoreOutput(c, store, name, rec)
+	var m metrics.Restore
+	ph := NewPhaseScope(c, rec, &m.Phases)
+	defer ph.Close()
+	buf, err := restoreOutput(c, store, name, rec, ph, &m)
 	if err != nil {
-		return nil, failCollective(c, err, "restore")
+		return nil, failCollective(c, err, ph.Current())
 	}
-	return res, nil
+	return &RestoreResult{Data: buf, Metrics: m}, nil
 }
 
 // RestoreOutput is the fully instrumented collective restore: it returns
@@ -89,14 +91,24 @@ func RestoreOutputCtx(ctx context.Context, c collectives.Comm, store storage.Sto
 // statistics, per-peer fetch traffic and read-latency histograms. The
 // legacy Restore* entry points are thin wrappers discarding the metrics.
 func RestoreOutput(c collectives.Comm, store storage.Store, name string, rec *trace.Recorder) (*RestoreResult, error) {
+	var m metrics.Restore
+	ph := NewPhaseScope(c, rec, &m.Phases)
+	defer ph.Close()
+	buf, err := restoreOutput(c, store, name, rec, ph, &m)
+	if err != nil {
+		return nil, err
+	}
+	return &RestoreResult{Data: buf, Metrics: m}, nil
+}
+
+// restoreOutput runs the restore pipeline, filling m and recording every
+// phase through ph.
+func restoreOutput(c collectives.Comm, store storage.Store, name string, rec *trace.Recorder, ph *PhaseScope, m *metrics.Restore) ([]byte, error) {
 	me, n := c.Rank(), c.Size()
 	restoreStart := time.Now()
-	m := metrics.Restore{Rank: me, RunLengths: metrics.NewHistogram()}
+	m.Rank, m.RunLengths = me, metrics.NewHistogram()
 	restoreSpan := rec.Begin("restore").Arg("dataset", name)
 	defer restoreSpan.End()
-	// NotePhase labels the goroutine per phase for CPU profiles; drop the
-	// last label once the pipeline is done.
-	defer obs.ClearPhaseLabel()
 
 	// Local reads go through a fresh Timed wrapper so the restore's
 	// read-latency histogram covers exactly this restore. The fetch
@@ -106,15 +118,9 @@ func RestoreOutput(c collectives.Comm, store storage.Store, name string, rec *tr
 	fs := fetch.NewStats(n)
 	srv := fetch.Serve(c, store, fetchClass)
 
-	// Publish each restore phase to the transport, mirroring the dump
-	// pipeline: failures get attributed to the phase they surfaced in and
-	// phase-scoped fault injection can target restores too.
-	collectives.NotePhase(c, "restore-meta")
-	metaSpan := rec.Begin("load-meta")
-	phaseStart := time.Now()
+	done := ph.Begin(metrics.RestoreMeta)
 	meta, metaFetched, err := loadMeta(c, timed, fs, name)
-	m.Phases.Meta = time.Since(phaseStart)
-	metaSpan.End()
+	done()
 	if err != nil {
 		srv.Stop()
 		return nil, fmt.Errorf("rank %d: %w", me, err)
@@ -129,39 +135,20 @@ func RestoreOutput(c collectives.Comm, store storage.Store, name string, rec *tr
 	m.UniqueChunks = len(meta.Recipe.Unique())
 
 	// The recipe walk is sequential (Assemble calls lookup per position
-	// on one goroutine), so a running same-source counter measures
-	// sequential locality exactly: a run ends whenever the serving source
-	// changes (local store vs. one particular peer).
+	// on one goroutine), so the run tracker measures sequential locality
+	// exactly: a run ends whenever the serving source changes (local store
+	// (-1) vs. one particular peer).
 	localFPs := make(map[fingerprint.FP]bool)
-	const noSource = -2 // distinct from local (-1) and any peer rank
-	curSource, curRun := noSource, int64(0)
-	endRun := func() {
-		if curRun > 0 {
-			m.RunLengths.Record(curRun)
-			if curRun > m.LargestRun {
-				m.LargestRun = curRun
-			}
-		}
-		curRun = 0
-	}
-	note := func(source int) {
-		if source != curSource {
-			endRun()
-			curSource = source
-		}
-		curRun++
-	}
+	runs := metrics.RunTracker{R: m}
 
 	var cached []fingerprint.FP
-	collectives.NotePhase(c, "assemble")
-	assembleSpan := rec.Begin("assemble")
-	phaseStart = time.Now()
+	done = ph.Begin(metrics.Assemble)
 	buf, err := meta.Recipe.Assemble(func(fp fingerprint.FP) ([]byte, error) {
 		if data, err := timed.GetChunk(fp); err == nil {
 			m.LocalChunks++
 			m.LocalBytes += int64(len(data))
 			localFPs[fp] = true
-			note(-1)
+			runs.Note(-1)
 			return data, nil
 		}
 		data, peer, err := fetchChunk(c, meta, fs, fp)
@@ -170,7 +157,7 @@ func RestoreOutput(c collectives.Comm, store storage.Store, name string, rec *tr
 		}
 		m.FetchedChunks++
 		m.FetchedBytes += int64(len(data))
-		note(peer)
+		runs.Note(peer)
 		// Re-provision the local store with the recovered chunk.
 		if err := timed.PutChunk(fp, data); err != nil && !errors.Is(err, storage.ErrFailed) {
 			return nil, err
@@ -178,18 +165,16 @@ func RestoreOutput(c collectives.Comm, store storage.Store, name string, rec *tr
 		cached = append(cached, fp)
 		return data, nil
 	})
-	endRun()
-	m.Phases.Assemble = time.Since(phaseStart)
-	assembleSpan.Arg("fetched-chunks", fmt.Sprint(len(cached))).End()
+	runs.End()
+	done()
+	restoreSpan.Arg("fetched-chunks", fmt.Sprint(len(cached)))
 	if err != nil {
 		srv.Stop()
 		return nil, fmt.Errorf("rank %d assemble %q: %w", me, name, err)
 	}
 	m.LogicalBytes = int64(len(buf))
 
-	collectives.NotePhase(c, "restore-commit")
-	commitSpan := rec.Begin("commit")
-	phaseStart = time.Now()
+	done = ph.Begin(metrics.RestoreCommit)
 	// The re-provisioned references belong to this dataset: fold them
 	// into its reclamation list so a later Forget releases them too.
 	if len(cached) > 0 {
@@ -216,16 +201,12 @@ func RestoreOutput(c collectives.Comm, store storage.Store, name string, rec *tr
 	// on commit-aware engines: losing them to a crash only costs a
 	// re-fetch on the next restore, so errors don't fail the restore.
 	_ = storage.Commit(timed)
-	m.Phases.Commit = time.Since(phaseStart)
-	commitSpan.End()
+	done()
 
 	// All ranks keep serving until everyone has finished assembling.
-	collectives.NotePhase(c, "restore-barrier")
-	barrierSpan := rec.Begin("barrier")
-	phaseStart = time.Now()
+	done = ph.Begin(metrics.RestoreBarrier)
 	err = collectives.Barrier(c)
-	m.Phases.Barrier = time.Since(phaseStart)
-	barrierSpan.End()
+	done()
 	if err != nil {
 		srv.Stop()
 		return nil, fmt.Errorf("rank %d restore barrier: %w", me, err)
@@ -240,17 +221,17 @@ func RestoreOutput(c collectives.Comm, store storage.Store, name string, rec *tr
 		m.BarrierExit = time.Now()
 	}
 	m.Phases.Total = time.Since(restoreStart)
-	finishRestoreMetrics(&m, fs, timed, len(localFPs)+localBlobReads)
+	FinishRestoreMetrics(m, fs, timed, len(localFPs)+localBlobReads)
 	restoreSpan.Arg("read-amp-bytes", fmt.Sprintf("%.3f", m.ReadAmplificationBytes()))
-	return &RestoreResult{Data: buf, Metrics: m}, nil
+	return buf, nil
 }
 
-// finishRestoreMetrics folds the fetch-client and timed-store
+// FinishRestoreMetrics folds the fetch-client and timed-store
 // instrumentation into m: per-peer traffic, request/miss counts, fetch
 // latency (whose sum is the Fetch phase — time spent inside remote RPCs
 // during assembly), the local read-latency histogram and the
 // distinct-objects count. Shared by the plain and hybrid restore paths.
-func finishRestoreMetrics(m *metrics.Restore, fs *fetch.Stats, timed *storage.Timed, objectsTouched int) {
+func FinishRestoreMetrics(m *metrics.Restore, fs *fetch.Stats, timed *storage.Timed, objectsTouched int) {
 	m.ObjectsTouched = objectsTouched
 	m.FetchRequests = fs.Requests()
 	m.FetchMisses = fs.Misses()
@@ -258,7 +239,7 @@ func finishRestoreMetrics(m *metrics.Restore, fs *fetch.Stats, timed *storage.Ti
 	m.PeerFetchBytes = fs.PeerBytes()
 	m.SourceRanks = fs.SourceRanks()
 	m.FetchLatency = fs.Latency()
-	m.Phases.Fetch = time.Duration(m.FetchLatency.Sum())
+	m.Phases.Dur[metrics.Fetch] = time.Duration(m.FetchLatency.Sum())
 	if timed.ReadLatency().Count() > 0 {
 		m.StoreReadLatency = timed.ReadLatency()
 	}
@@ -269,25 +250,10 @@ func finishRestoreMetrics(m *metrics.Restore, fs *fetch.Stats, timed *storage.Ti
 // dump time; unknown K means we sweep outward until found). The bool
 // reports whether the blob had to come from a peer.
 func loadMeta(c collectives.Comm, store storage.Store, fs *fetch.Stats, name string) (*RestoreMeta, bool, error) {
-	me, n := c.Rank(), c.Size()
-	blobName := metaName(name, me)
-	fetched := false
-	blob, err := store.GetBlob(blobName)
+	blobName := metaName(name, c.Rank())
+	blob, fetched, err := fs.NeighbourBlob(c, fetchClass, store, blobName)
 	if err != nil {
-		for d := 1; d < n; d++ {
-			peer := (me + d) % n
-			data, ok, rerr := fs.Blob(c, fetchClass, peer, blobName)
-			if rerr != nil {
-				return nil, false, rerr
-			}
-			if ok {
-				blob, fetched = data, true
-				break
-			}
-		}
-		if blob == nil {
-			return nil, false, fmt.Errorf("restore metadata %q unrecoverable", blobName)
-		}
+		return nil, false, fmt.Errorf("restore metadata: %w", err)
 	}
 	meta := new(RestoreMeta)
 	if err := meta.UnmarshalBinary(blob); err != nil {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dedupcr/internal/collectives"
+	"dedupcr/internal/metrics"
 	"dedupcr/internal/storage"
 )
 
@@ -82,11 +83,11 @@ func TestRestoreMetricsAccounting(t *testing.T) {
 		if m.ObjectsTouched <= 0 {
 			t.Errorf("rank %d: no objects touched", r)
 		}
-		if m.Phases.Total <= 0 || m.Phases.Assemble <= 0 {
+		if m.Phases.Total <= 0 || m.Phases.Dur[metrics.Assemble] <= 0 {
 			t.Errorf("rank %d: phases not measured: %+v", r, m.Phases)
 		}
-		if m.Phases.Fetch > m.Phases.Assemble {
-			t.Errorf("rank %d: fetch %v exceeds containing assemble %v", r, m.Phases.Fetch, m.Phases.Assemble)
+		if m.Phases.Dur[metrics.Fetch] > m.Phases.Dur[metrics.Assemble] {
+			t.Errorf("rank %d: fetch %v exceeds containing assemble %v", r, m.Phases.Dur[metrics.Fetch], m.Phases.Dur[metrics.Assemble])
 		}
 		if m.BarrierExit.IsZero() {
 			t.Errorf("rank %d: barrier exit not stamped", r)
@@ -140,7 +141,7 @@ func TestRestoreMetricsAfterNodeFailure(t *testing.T) {
 	if m.FetchLatency.Count() == 0 {
 		t.Error("fetches happened but fetch-latency histogram is empty")
 	}
-	if m.Phases.Fetch == 0 {
+	if m.Phases.Dur[metrics.Fetch] == 0 {
 		t.Error("fetch phase time not attributed")
 	}
 

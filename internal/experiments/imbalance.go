@@ -48,7 +48,7 @@ func Imbalance(cfg Config) (*Table, error) {
 		if cfg.OnCluster != nil {
 			cfg.OnCluster(fmt.Sprintf("imbalance/%s", approach), cd, ranks)
 		}
-		put := cd.Phase("put")
+		put := cd.Phase(metrics.Put.String())
 		tab.Rows = append(tab.Rows, []string{
 			approach.String(),
 			fmt.Sprintf("%.3f", cd.DesignationImbalance),

@@ -62,13 +62,14 @@ func AblationParallel(cfg Config) (*Table, error) {
 		}
 		t.Rows = append(t.Rows, []string{name, metrics.Duration(s), metrics.Duration(p), speed})
 	}
-	hashS := sp.Chunking + sp.Fingerprint + sp.LocalDedup
-	hashP := pp.Chunking + pp.Fingerprint + pp.LocalDedup
-	row("chunking", sp.Chunking, pp.Chunking)
-	row("fingerprint", sp.Fingerprint, pp.Fingerprint)
-	row("local-dedup", sp.LocalDedup, pp.LocalDedup)
+	var hashS, hashP time.Duration
+	for _, ph := range []metrics.Phase{metrics.Chunking, metrics.Fingerprint, metrics.LocalDedup} {
+		row(ph.String(), sp.Dur[ph], pp.Dur[ph])
+		hashS += sp.Dur[ph]
+		hashP += pp.Dur[ph]
+	}
 	row("chunk+hash+dedup", hashS, hashP)
-	row("put", sp.Put, pp.Put)
+	row(metrics.Put.String(), sp.Dur[metrics.Put], pp.Dur[metrics.Put])
 	row("total", sp.Total, pp.Total)
 
 	// Determinism check: identical replication traffic and storage on

@@ -58,10 +58,10 @@ func PhasesBreakdown(cfg Config) (*Table, error) {
 		putQ = append(putQ, [3]int64{p50, p99, int64(len(lat) / 2)})
 	}
 
-	for _, name := range metrics.PhaseNames {
-		row := []string{name}
+	for _, ph := range metrics.DumpPipeline.Phases() {
+		row := []string{ph.String()}
 		for _, p := range cols {
-			row = append(row, metrics.Duration(p.ByName(name)))
+			row = append(row, metrics.Duration(p.Dur[ph]))
 		}
 		t.Rows = append(t.Rows, row)
 	}

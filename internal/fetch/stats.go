@@ -1,12 +1,14 @@
 package fetch
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
 	"dedupcr/internal/collectives"
 	"dedupcr/internal/fingerprint"
 	"dedupcr/internal/metrics"
+	"dedupcr/internal/storage"
 )
 
 // Stats is an instrumented fetch client: it wraps the package-level Blob
@@ -75,6 +77,23 @@ func (s *Stats) Blob(c collectives.Comm, class Class, peer int, name string) ([]
 		s.record(peer, data, found, time.Since(start))
 	}
 	return data, found, err
+}
+
+// NeighbourBlob returns the named blob from the local store or, when it
+// was lost, from the first peer holding a replica, sweeping outward from
+// the next rank. fetched reports whether it came from a peer.
+func (s *Stats) NeighbourBlob(c collectives.Comm, class Class, store storage.Store, name string) (blob []byte, fetched bool, err error) {
+	if blob, err := store.GetBlob(name); err == nil {
+		return blob, false, nil
+	}
+	me, n := c.Rank(), c.Size()
+	for d := 1; d < n; d++ {
+		data, ok, err := s.Blob(c, class, (me+d)%n, name)
+		if err != nil || ok {
+			return data, ok, err
+		}
+	}
+	return nil, false, fmt.Errorf("blob %q unrecoverable", name)
 }
 
 // Requests returns how many fetch RPCs were issued (misses included).

@@ -7,11 +7,13 @@ import (
 	"time"
 
 	"dedupcr/internal/collectives"
+	"dedupcr/internal/core"
 	"dedupcr/internal/erasure"
 	"dedupcr/internal/fetch"
 	"dedupcr/internal/fingerprint"
 	"dedupcr/internal/metrics"
 	"dedupcr/internal/storage"
+	"dedupcr/internal/trace"
 )
 
 // fetchClass is the fetch-service protocol class of hybrid restores
@@ -24,18 +26,21 @@ const fetchClass fetch.Class = 1
 // parity shards via Reed-Solomon reconstruction. Tolerates any K-1 node
 // losses.
 func Restore(c collectives.Comm, store storage.Store, name string) ([]byte, error) {
-	buf, _, err := RestoreOutput(c, store, name)
+	buf, _, err := RestoreOutput(c, store, name, nil)
 	return buf, err
 }
 
 // RestoreOutput is Restore returning the rank's restore instrumentation
 // alongside the buffer: the same metrics.Restore the plain restore
-// produces, with the erasure-reconstruction time under Phases.Recover and
-// rebuilt chunks under RecoveredChunks.
-func RestoreOutput(c collectives.Comm, store storage.Store, name string) ([]byte, metrics.Restore, error) {
+// produces, with the erasure-reconstruction time under the shard-recover
+// phase and rebuilt chunks under RecoveredChunks. Phases are recorded
+// through core's phase scope, as spans on rec when it is non-nil.
+func RestoreOutput(c collectives.Comm, store storage.Store, name string, rec *trace.Recorder) ([]byte, metrics.Restore, error) {
 	me, n := c.Rank(), c.Size()
 	restoreStart := time.Now()
 	rm := metrics.Restore{Rank: me, RunLengths: metrics.NewHistogram()}
+	ph := core.NewPhaseScope(c, rec, &rm.Phases)
+	defer ph.Close()
 	timed := storage.NewTimed(store)
 	fs := fetch.NewStats(n)
 	// Peer requests are served from the raw store so peer-serving reads
@@ -43,10 +48,9 @@ func RestoreOutput(c collectives.Comm, store storage.Store, name string) ([]byte
 	srv := fetch.Serve(c, store, fetchClass)
 	defer srv.Stop()
 
-	collectives.NotePhase(c, "restore-meta")
-	phaseStart := time.Now()
+	done := ph.Begin(metrics.RestoreMeta)
 	m, metaFetched, err := loadMeta(c, timed, fs, name)
-	rm.Phases.Meta = time.Since(phaseStart)
+	done()
 	if err != nil {
 		return nil, rm, fmt.Errorf("rank %d: %w", me, err)
 	}
@@ -64,16 +68,14 @@ func RestoreOutput(c collectives.Comm, store storage.Store, name string) ([]byte
 	// re-provisions its chunks BEFORE anyone assembles, so that peers
 	// whose discarded chunks lived only on now-dead designated holders
 	// find them again after the barrier.
-	collectives.NotePhase(c, "shard-recover")
 	var shardChunks map[fingerprint.FP][]byte
 	if _, berr := timed.GetBlob(shardBlob(name, me)); berr != nil && len(m.ShardFPs) > 0 {
-		phaseStart = time.Now()
+		done = ph.Begin(metrics.ShardRecover)
 		shard, rerr := recoverShard(c, timed, fs, m, ge, name)
-		if rerr != nil {
-			return nil, rm, fmt.Errorf("rank %d: %w", me, rerr)
+		if rerr == nil {
+			shardChunks, rerr = parseShard(shard, m.ShardFPs)
 		}
-		shardChunks, rerr = parseShard(shard, m.ShardFPs)
-		rm.Phases.Recover = time.Since(phaseStart)
+		done()
 		if rerr != nil {
 			return nil, rm, fmt.Errorf("rank %d: %w", me, rerr)
 		}
@@ -84,9 +86,11 @@ func RestoreOutput(c collectives.Comm, store storage.Store, name string) ([]byte
 	} else if berr == nil {
 		localBlobReads++
 	}
-	phaseStart = time.Now()
+	// The recovery barrier: no rank assembles before every replaced node
+	// has re-provisioned its shard.
+	done = ph.Begin(metrics.RestoreBarrier)
 	err = collectives.Barrier(c)
-	rm.Phases.Barrier += time.Since(phaseStart)
+	done()
 	if err != nil {
 		return nil, rm, fmt.Errorf("rank %d recovery barrier: %w", me, err)
 	}
@@ -95,35 +99,28 @@ func RestoreOutput(c collectives.Comm, store storage.Store, name string) ([]byte
 	// counts as its own source (id n — beyond any peer rank), so locality
 	// runs distinguish local hits, each peer, and shard-rebuilt chunks.
 	localFPs := make(map[fingerprint.FP]bool)
-	const noSource = -2
 	shardSource := n
-	curSource, curRun := noSource, int64(0)
-	endRun := func() {
-		if curRun > 0 {
-			rm.RunLengths.Record(curRun)
-			if curRun > rm.LargestRun {
-				rm.LargestRun = curRun
-			}
-		}
-		curRun = 0
-	}
-	note := func(source int) {
-		if source != curSource {
-			endRun()
-			curSource = source
-		}
-		curRun++
-	}
+	runs := metrics.RunTracker{R: &rm}
 	var lazyRecover time.Duration
+	// fetchFrom asks one peer for fp; ok reports whether it served it.
+	fetchFrom := func(peer int, fp fingerprint.FP) (data []byte, ok bool, err error) {
+		data, ok, err = fs.Chunk(c, fetchClass, peer, fp)
+		if ok {
+			rm.FetchedChunks++
+			rm.FetchedBytes += int64(len(data))
+			runs.Note(peer)
+			cache(timed, fp, data)
+		}
+		return data, ok, err
+	}
 
-	collectives.NotePhase(c, "assemble")
-	phaseStart = time.Now()
+	done = ph.Begin(metrics.Assemble)
 	buf, err := m.Recipe.Assemble(func(fp fingerprint.FP) ([]byte, error) {
 		if data, err := timed.GetChunk(fp); err == nil {
 			rm.LocalChunks++
 			rm.LocalBytes += int64(len(data))
 			localFPs[fp] = true
-			note(-1)
+			runs.Note(-1)
 			return data, nil
 		}
 		// Designated holders first.
@@ -131,16 +128,8 @@ func RestoreOutput(c collectives.Comm, store storage.Store, name string) ([]byte
 			if int(r) == me {
 				continue
 			}
-			data, ok, err := fs.Chunk(c, fetchClass, int(r), fp)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				rm.FetchedChunks++
-				rm.FetchedBytes += int64(len(data))
-				note(int(r))
-				cache(timed, fp, data)
-				return data, nil
+			if data, ok, err := fetchFrom(int(r), fp); err != nil || ok {
+				return data, err
 			}
 		}
 		// Shard path: rebuild this rank's data shard once.
@@ -158,41 +147,32 @@ func RestoreOutput(c collectives.Comm, store storage.Store, name string) ([]byte
 			rm.RecoveredChunks += len(shardChunks)
 		}
 		if data, ok := shardChunks[fp]; ok {
-			note(shardSource)
+			runs.Note(shardSource)
 			cache(timed, fp, data)
 			return data, nil
 		}
 		// Last resort: sweep all ranks.
 		for d := 1; d < n; d++ {
-			peer := (me + d) % n
-			data, ok, err := fs.Chunk(c, fetchClass, peer, fp)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				rm.FetchedChunks++
-				rm.FetchedBytes += int64(len(data))
-				note(peer)
-				cache(timed, fp, data)
-				return data, nil
+			if data, ok, err := fetchFrom((me+d)%n, fp); err != nil || ok {
+				return data, err
 			}
 		}
 		return nil, fmt.Errorf("chunk %s unrecoverable", fp.Short())
 	})
-	endRun()
+	runs.End()
+	done()
 	// Lazily-triggered reconstruction happened inside the assemble loop;
-	// move it to Recover so the phase decomposition stays disjoint.
-	rm.Phases.Assemble = time.Since(phaseStart) - lazyRecover
-	rm.Phases.Recover += lazyRecover
+	// move it to shard-recover so the phase decomposition stays disjoint.
+	rm.Phases.Dur[metrics.Assemble] -= lazyRecover
+	rm.Phases.Dur[metrics.ShardRecover] += lazyRecover
 	if err != nil {
 		return nil, rm, fmt.Errorf("rank %d assemble %q: %w", me, name, err)
 	}
 	rm.LogicalBytes = int64(len(buf))
 
-	collectives.NotePhase(c, "restore-barrier")
-	phaseStart = time.Now()
+	done = ph.Begin(metrics.RestoreBarrier)
 	err = collectives.Barrier(c)
-	rm.Phases.Barrier += time.Since(phaseStart)
+	done()
 	if err != nil {
 		return nil, rm, fmt.Errorf("rank %d restore barrier: %w", me, err)
 	}
@@ -202,17 +182,7 @@ func RestoreOutput(c collectives.Comm, store storage.Store, name string) ([]byte
 		rm.BarrierExit = time.Now()
 	}
 	rm.Phases.Total = time.Since(restoreStart)
-	rm.ObjectsTouched = len(localFPs) + localBlobReads
-	rm.FetchRequests = fs.Requests()
-	rm.FetchMisses = fs.Misses()
-	rm.PeerFetchChunks = fs.PeerChunks()
-	rm.PeerFetchBytes = fs.PeerBytes()
-	rm.SourceRanks = fs.SourceRanks()
-	rm.FetchLatency = fs.Latency()
-	rm.Phases.Fetch = time.Duration(rm.FetchLatency.Sum())
-	if timed.ReadLatency().Count() > 0 {
-		rm.StoreReadLatency = timed.ReadLatency()
-	}
+	core.FinishRestoreMetrics(&rm, fs, timed, len(localFPs)+localBlobReads)
 	return buf, rm, nil
 }
 
@@ -228,24 +198,9 @@ func cache(store storage.Store, fp fingerprint.FP, data []byte) {
 // loadMeta retrieves this rank's metadata locally or from the neighbour
 // replicas. The bool reports whether the blob came from a peer.
 func loadMeta(c collectives.Comm, store storage.Store, fs *fetch.Stats, name string) (*meta, bool, error) {
-	me, n := c.Rank(), c.Size()
-	blobName := metaBlob(name, me)
-	fetched := false
-	blob, err := store.GetBlob(blobName)
+	blob, fetched, err := fs.NeighbourBlob(c, fetchClass, store, metaBlob(name, c.Rank()))
 	if err != nil {
-		for d := 1; d < n; d++ {
-			data, ok, rerr := fs.Blob(c, fetchClass, (me+d)%n, blobName)
-			if rerr != nil {
-				return nil, false, rerr
-			}
-			if ok {
-				blob, fetched = data, true
-				break
-			}
-		}
-		if blob == nil {
-			return nil, false, fmt.Errorf("hybrid metadata %q unrecoverable", blobName)
-		}
+		return nil, false, fmt.Errorf("hybrid metadata: %w", err)
 	}
 	m := new(meta)
 	if err := m.unmarshal(blob); err != nil {

@@ -18,7 +18,7 @@ func restoreAllOutput(t *testing.T, n int, cluster *storage.Cluster, buffers [][
 	ms := make([]metrics.Restore, n)
 	var mu sync.Mutex
 	err := collectives.Run(n, func(c collectives.Comm) error {
-		got, m, err := RestoreOutput(c, cluster.Node(c.Rank()), name)
+		got, m, err := RestoreOutput(c, cluster.Node(c.Rank()), name, nil)
 		if err != nil {
 			return err
 		}
@@ -53,9 +53,9 @@ func TestHybridRestoreMetrics(t *testing.T) {
 			t.Errorf("rank %d: %d local + %d fetched != %d total chunks",
 				r, m.LocalChunks, m.FetchedChunks, m.TotalChunks)
 		}
-		if m.RecoveredChunks != 0 || m.Phases.Recover != 0 {
+		if m.RecoveredChunks != 0 || m.Phases.Dur[metrics.ShardRecover] != 0 {
 			t.Errorf("rank %d: healthy restore rebuilt %d chunks (%v recover time)",
-				r, m.RecoveredChunks, m.Phases.Recover)
+				r, m.RecoveredChunks, m.Phases.Dur[metrics.ShardRecover])
 		}
 		if got := m.RunLengths.Sum(); got != int64(m.TotalChunks) {
 			t.Errorf("rank %d: run lengths sum to %d, want %d", r, got, m.TotalChunks)
@@ -71,7 +71,7 @@ func TestHybridRestoreMetrics(t *testing.T) {
 		if m.RecoveredChunks == 0 {
 			t.Errorf("replaced node %d: no erasure-rebuilt chunks recorded", r)
 		}
-		if m.Phases.Recover == 0 {
+		if m.Phases.Dur[metrics.ShardRecover] == 0 {
 			t.Errorf("replaced node %d: no shard-recovery time attributed", r)
 		}
 		if m.MetaFetches != 1 {

@@ -157,14 +157,14 @@ func TestBytesNegative(t *testing.T) {
 }
 
 func TestPhasesSumOtherByName(t *testing.T) {
-	p := Phases{
+	p := Phases{PhaseTimes: PhaseTimes{Dur: [NumPhases]time.Duration{
 		Chunking: 1 * time.Millisecond, Fingerprint: 2 * time.Millisecond,
 		LocalDedup: 3 * time.Millisecond, Reduction: 4 * time.Millisecond,
 		LoadExchange: 5 * time.Millisecond, Planning: 6 * time.Millisecond,
 		WindowOpen: 7 * time.Millisecond, Put: 8 * time.Millisecond,
 		WindowWait: 9 * time.Millisecond, Commit: 10 * time.Millisecond,
-		Barrier: 11 * time.Millisecond, Total: 70 * time.Millisecond,
-	}
+		Barrier: 11 * time.Millisecond,
+	}, Total: 70 * time.Millisecond}}
 	if got := p.Sum(); got != 66*time.Millisecond {
 		t.Errorf("Sum = %v", got)
 	}
@@ -181,8 +181,8 @@ func TestPhasesSumOtherByName(t *testing.T) {
 	q := Phases{}
 	q.Add(p)
 	q.Add(p)
-	if q.Total != 140*time.Millisecond || q.Chunking != 2*time.Millisecond {
-		t.Errorf("Add: Total=%v Chunking=%v", q.Total, q.Chunking)
+	if q.Total != 140*time.Millisecond || q.Dur[Chunking] != 2*time.Millisecond {
+		t.Errorf("Add: Total=%v Chunking=%v", q.Total, q.Dur[Chunking])
 	}
 }
 
@@ -191,7 +191,9 @@ func TestWritePrometheus(t *testing.T) {
 	h.Record(int64(2 * time.Millisecond))
 	d := Dump{
 		Rank: 3, DatasetBytes: 1 << 20, TotalChunks: 256,
-		Phases:     Phases{Chunking: time.Millisecond, Total: 10 * time.Millisecond},
+		Phases: Phases{PhaseTimes: PhaseTimes{Dur: [NumPhases]time.Duration{
+			Chunking: time.Millisecond,
+		}, Total: 10 * time.Millisecond}},
 		PutLatency: h,
 	}
 	var b strings.Builder

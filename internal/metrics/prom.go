@@ -5,16 +5,6 @@ import (
 	"io"
 )
 
-// PromOptions tunes the exposition output.
-type PromOptions struct {
-	// LegacyPutSummary emits dedupcr_put_latency_seconds as the
-	// quantile summary of PR 1 instead of the bucketed histogram.
-	// Summaries cannot be aggregated across ranks (quantiles of
-	// quantiles are meaningless), which is why the histogram is now the
-	// default; the flag keeps old dashboards alive.
-	LegacyPutSummary bool
-}
-
 // LatencyBuckets is the explicit `le` ladder (in seconds) of every
 // latency histogram family this package exposes: a 1-2.5-5 decade scan
 // from 1µs to 10s. Fixed, identical buckets on every rank are what make
@@ -32,9 +22,18 @@ var LatencyBuckets = []float64{
 // WriteLatencyHistogram emits one nanosecond-sample histogram as a
 // Prometheus histogram family in seconds, with the LatencyBuckets
 // ladder. labels is the shared label set of every sample ("" for none).
-// Bucket counts come from Histogram.CountLE, so they are monotone by
-// construction; +Inf always equals the total count.
 func WriteLatencyHistogram(w io.Writer, name, help, labels string, h *Histogram) {
+	writeHistogram(w, name, help, labels, h, len(LatencyBuckets), func(i int) (string, int64) {
+		return fmt.Sprintf("%g", LatencyBuckets[i]), int64(LatencyBuckets[i] * 1e9)
+	}, fmt.Sprintf("%.9f", float64(h.Sum())/1e9))
+}
+
+// writeHistogram emits h as a histogram family over n buckets, bucket(i)
+// giving the i-th `le` label and its bound in h's units; sum is h's sum
+// rendered in the family's unit. Bucket counts come from
+// Histogram.CountLE, so they are monotone by construction; +Inf always
+// equals the total count. Nothing is written for an empty histogram.
+func writeHistogram(w io.Writer, name, help, labels string, h *Histogram, n int, bucket func(i int) (string, int64), sum string) {
 	if h.Count() == 0 {
 		return
 	}
@@ -43,15 +42,16 @@ func WriteLatencyHistogram(w io.Writer, name, help, labels string, h *Histogram)
 		sep = ","
 	}
 	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-	for _, le := range LatencyBuckets {
-		fmt.Fprintf(w, "%s_bucket{%s%sle=\"%g\"} %d\n", name, labels, sep, le, h.CountLE(int64(le*1e9)))
+	for i := 0; i < n; i++ {
+		le, bound := bucket(i)
+		fmt.Fprintf(w, "%s_bucket{%s%sle=\"%s\"} %d\n", name, labels, sep, le, h.CountLE(bound))
 	}
 	fmt.Fprintf(w, "%s_bucket{%s%sle=\"+Inf\"} %d\n", name, labels, sep, h.Count())
 	if labels == "" {
-		fmt.Fprintf(w, "%s_sum %.9f\n", name, float64(h.Sum())/1e9)
+		fmt.Fprintf(w, "%s_sum %s\n", name, sum)
 		fmt.Fprintf(w, "%s_count %d\n", name, h.Count())
 	} else {
-		fmt.Fprintf(w, "%s_sum{%s} %.9f\n", name, labels, float64(h.Sum())/1e9)
+		fmt.Fprintf(w, "%s_sum{%s} %s\n", name, labels, sum)
 		fmt.Fprintf(w, "%s_count{%s} %d\n", name, labels, h.Count())
 	}
 }
@@ -59,14 +59,8 @@ func WriteLatencyHistogram(w io.Writer, name, help, labels string, h *Histogram)
 // WritePrometheus emits the dump's counters and phase timings in the
 // Prometheus plain-text exposition format, labelled with the rank — the
 // counter dump replicad prints on exit so a scrape-less deployment still
-// leaves machine-readable numbers behind. Equivalent to
-// WritePrometheusOpts with the zero options.
+// leaves machine-readable numbers behind.
 func (d Dump) WritePrometheus(w io.Writer) {
-	d.WritePrometheusOpts(w, PromOptions{})
-}
-
-// WritePrometheusOpts is WritePrometheus with explicit options.
-func (d Dump) WritePrometheusOpts(w io.Writer, o PromOptions) {
 	rank := fmt.Sprintf(`rank="%d"`, d.Rank)
 	counter := func(name, help string, v int64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s{%s} %d\n", name, help, name, name, rank, v)
@@ -88,12 +82,8 @@ func (d Dump) WritePrometheusOpts(w io.Writer, o PromOptions) {
 	counter("dedupcr_unique_content_bytes_total", "Bytes of content the approach identified as unique.", d.UniqueContentBytes)
 	counter("dedupcr_put_retries_total", "Window puts retried after a transient transport failure.", d.PutRetries)
 
-	fmt.Fprintf(w, "# HELP dedupcr_phase_seconds Wall-clock time of one dump pipeline phase.\n")
-	fmt.Fprintf(w, "# TYPE dedupcr_phase_seconds gauge\n")
-	for _, name := range PhaseNames {
-		fmt.Fprintf(w, "dedupcr_phase_seconds{%s,phase=%q} %.9f\n", rank, name, d.Phases.ByName(name).Seconds())
-	}
-	fmt.Fprintf(w, "dedupcr_phase_seconds{%s,phase=\"total\"} %.9f\n", rank, d.Phases.Total.Seconds())
+	writePhaseSeconds(w, "dedupcr_phase_seconds", "Wall-clock time of one dump pipeline phase.",
+		rank, DumpPipeline, d.Phases.PhaseTimes)
 
 	if len(d.Phases.ReductionRoundTimes) > 0 {
 		fmt.Fprintf(w, "# HELP dedupcr_reduction_round_seconds Duration of one level of the HMERGE reduction tree on this rank.\n")
@@ -103,19 +93,16 @@ func (d Dump) WritePrometheusOpts(w io.Writer, o PromOptions) {
 		}
 	}
 
-	if d.PutLatency.Count() > 0 {
-		if o.LegacyPutSummary {
-			fmt.Fprintf(w, "# HELP dedupcr_put_latency_seconds Per-chunk window put latency.\n")
-			fmt.Fprintf(w, "# TYPE dedupcr_put_latency_seconds summary\n")
-			for _, q := range []float64{0.5, 0.95, 0.99} {
-				fmt.Fprintf(w, "dedupcr_put_latency_seconds{%s,quantile=\"%g\"} %.9f\n",
-					rank, q, float64(d.PutLatency.Quantile(q))/1e9)
-			}
-			fmt.Fprintf(w, "dedupcr_put_latency_seconds_sum{%s} %.9f\n", rank, float64(d.PutLatency.Sum())/1e9)
-			fmt.Fprintf(w, "dedupcr_put_latency_seconds_count{%s} %d\n", rank, d.PutLatency.Count())
-		} else {
-			WriteLatencyHistogram(w, "dedupcr_put_latency_seconds",
-				"Per-chunk window put latency.", rank, d.PutLatency)
-		}
+	WriteLatencyHistogram(w, "dedupcr_put_latency_seconds",
+		"Per-chunk window put latency.", rank, d.PutLatency)
+}
+
+// writePhaseSeconds emits one gauge family with a sample per phase of
+// kind, in table order, plus a phase="total" sample.
+func writePhaseSeconds(w io.Writer, family, help, rank string, kind PhaseKind, t PhaseTimes) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", family, help, family)
+	for _, p := range kind.Phases() {
+		fmt.Fprintf(w, "%s{%s,phase=%q} %.9f\n", family, rank, p, t.Dur[p].Seconds())
 	}
+	fmt.Fprintf(w, "%s{%s,phase=\"total\"} %.9f\n", family, rank, t.Total.Seconds())
 }

@@ -19,44 +19,32 @@ func sampleDump() Dump {
 		SentChunks: 120, SentBytes: 490_000, RecvChunks: 118, RecvBytes: 480_000,
 		ReductionBytes: 65_000, ReductionRounds: 3, LoadExchangeBytes: 2_048,
 		WindowBytes: 500_000, UniqueContentBytes: 820_000,
-		Phases: Phases{
+		Phases: Phases{PhaseTimes: PhaseTimes{Dur: [NumPhases]time.Duration{
 			Chunking: time.Millisecond, Fingerprint: 2 * time.Millisecond,
 			LocalDedup: 300 * time.Microsecond, Reduction: 4 * time.Millisecond,
-			ReductionRoundTimes: []time.Duration{2 * time.Millisecond, 1500 * time.Microsecond, 500 * time.Microsecond},
-			LoadExchange:        time.Millisecond, Planning: 200 * time.Microsecond,
+			LoadExchange: time.Millisecond, Planning: 200 * time.Microsecond,
 			WindowOpen: 50 * time.Microsecond, Put: 3 * time.Millisecond,
 			WindowWait: 2 * time.Millisecond, Commit: time.Millisecond,
-			Barrier: 400 * time.Microsecond, Total: 16 * time.Millisecond,
-		},
+			Barrier: 400 * time.Microsecond,
+		}, Total: 16 * time.Millisecond}, ReductionRoundTimes: []time.Duration{2 * time.Millisecond, 1500 * time.Microsecond, 500 * time.Microsecond}},
 		PutLatency:  h,
 		BarrierExit: time.Unix(1700000000, 0),
 	}
 }
 
-// TestExpositionWellFormed runs the strict checker over both exposition
-// modes of a populated dump: the default bucketed-histogram output and
-// the legacy summary kept behind the flag.
+// TestExpositionWellFormed runs the strict checker over the exposition
+// of a populated dump.
 func TestExpositionWellFormed(t *testing.T) {
-	d := sampleDump()
-	for _, tc := range []struct {
-		name string
-		opts PromOptions
-	}{
-		{"histogram", PromOptions{}},
-		{"legacy-summary", PromOptions{LegacyPutSummary: true}},
-	} {
-		var buf bytes.Buffer
-		d.WritePrometheusOpts(&buf, tc.opts)
-		if err := CheckExposition(bytes.NewReader(buf.Bytes())); err != nil {
-			t.Errorf("%s: %v\n%s", tc.name, err, buf.String())
-		}
+	var buf bytes.Buffer
+	sampleDump().WritePrometheus(&buf)
+	if err := CheckExposition(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Errorf("%v\n%s", err, buf.String())
 	}
 }
 
 // TestExpositionHistogramShape pins the put-latency family to the
 // explicit-bucket histogram form: _bucket series with the shared ladder,
-// an +Inf bucket equal to _count, and no quantile series unless the
-// legacy flag is set.
+// an +Inf bucket equal to _count, and no quantile series.
 func TestExpositionHistogramShape(t *testing.T) {
 	d := sampleDump()
 	var buf bytes.Buffer
@@ -66,7 +54,7 @@ func TestExpositionHistogramShape(t *testing.T) {
 		t.Fatalf("put latency not exposed as histogram:\n%s", out)
 	}
 	if strings.Contains(out, "quantile=") {
-		t.Errorf("default exposition still carries summary quantiles")
+		t.Errorf("exposition carries summary quantiles")
 	}
 	if !strings.Contains(out, `dedupcr_put_latency_seconds_bucket{rank="3",le="+Inf"} 5`) {
 		t.Errorf("+Inf bucket missing or wrong count:\n%s", out)
@@ -75,11 +63,6 @@ func TestExpositionHistogramShape(t *testing.T) {
 		t.Errorf("reduction round times not exposed:\n%s", out)
 	}
 
-	buf.Reset()
-	d.WritePrometheusOpts(&buf, PromOptions{LegacyPutSummary: true})
-	if !strings.Contains(buf.String(), "# TYPE dedupcr_put_latency_seconds summary") {
-		t.Errorf("legacy flag lost the summary form:\n%s", buf.String())
-	}
 }
 
 // TestCheckExpositionRejects feeds the checker deliberately malformed

@@ -57,8 +57,10 @@ type Restore struct {
 	// short runs; LargestRun is the longest observed.
 	RunLengths *Histogram
 	LargestRun int64
-	// Phases is the measured wall-clock decomposition of the restore.
-	Phases RestorePhases
+	// Phases is the measured wall-clock decomposition of the restore over
+	// the RestorePipeline phases. Fetch is nested in Assemble (a fetch
+	// happens mid-assembly), so Sum leaves it out.
+	Phases PhaseTimes
 	// BarrierExit is the wall-clock instant this rank left the restore's
 	// completion barrier (same clock-offset anchor as Dump.BarrierExit).
 	BarrierExit time.Time
@@ -96,84 +98,33 @@ func (r Restore) ReadAmplificationChunks() float64 {
 	return float64(r.FetchedChunks) / float64(r.UniqueChunks)
 }
 
-// RestorePhases is the wall-clock decomposition of one collective restore
-// on one rank. Meta, Assemble, Recover, Commit and Barrier are disjoint
-// and sum to (almost) Total; Fetch is the cumulative remote-fetch time
-// and is attributed INSIDE Assemble (a fetch happens mid-assembly), so it
-// is excluded from Sum.
-type RestorePhases struct {
-	// Meta is the restore-metadata load (local read or peer fetch).
-	Meta time.Duration
-	// Assemble is the recipe walk: local reads, remote fetches and
-	// re-provisioning writes.
-	Assemble time.Duration
-	// Fetch is the cumulative time spent inside remote chunk/blob
-	// fetches during assembly (contained in Assemble).
-	Fetch time.Duration
-	// Recover is erasure-coded shard reconstruction (hybrid restores
-	// only; zero for plain restores).
-	Recover time.Duration
-	// Commit covers post-assembly persistence: the reclamation-list
-	// update and metadata re-replication.
-	Commit time.Duration
-	// Barrier is the completion barrier (all ranks keep serving fetches
-	// until everyone assembled).
-	Barrier time.Duration
-	// Total is the end-to-end restore duration on this rank.
-	Total time.Duration
+// RunTracker measures sequential locality during a recipe walk, which
+// is sequential: note the source serving each chunk in recipe order (the
+// local store, one particular peer, ...), then End. A run is a maximal
+// stretch of consecutive chunks from one source; each finished run is
+// recorded into the restore's RunLengths and LargestRun.
+type RunTracker struct {
+	R      *Restore
+	source int
+	run    int64
 }
 
-// Sum adds the disjoint phases (excluding Fetch, which Assemble already
-// contains, and Total).
-func (p RestorePhases) Sum() time.Duration {
-	return p.Meta + p.Assemble + p.Recover + p.Commit + p.Barrier
-}
-
-// Other returns the unattributed remainder Total - Sum (clamped at 0).
-func (p RestorePhases) Other() time.Duration {
-	if o := p.Total - p.Sum(); o > 0 {
-		return o
+// Note counts the next chunk, served by source.
+func (t *RunTracker) Note(source int) {
+	if t.run > 0 && source != t.source {
+		t.End()
 	}
-	return 0
+	t.source = source
+	t.run++
 }
 
-// Add accumulates q's durations into p field-wise.
-func (p *RestorePhases) Add(q RestorePhases) {
-	p.Meta += q.Meta
-	p.Assemble += q.Assemble
-	p.Fetch += q.Fetch
-	p.Recover += q.Recover
-	p.Commit += q.Commit
-	p.Barrier += q.Barrier
-	p.Total += q.Total
-}
-
-// RestorePhaseNames lists the restore phase labels in pipeline order,
-// matching the span names recorded by internal/core and internal/hybrid.
-var RestorePhaseNames = []string{
-	"restore-meta", "assemble", "fetch", "shard-recover",
-	"restore-commit", "restore-barrier",
-}
-
-// ByName returns the duration of the named phase (one of
-// RestorePhaseNames).
-func (p RestorePhases) ByName(name string) time.Duration {
-	switch name {
-	case "restore-meta":
-		return p.Meta
-	case "assemble":
-		return p.Assemble
-	case "fetch":
-		return p.Fetch
-	case "shard-recover":
-		return p.Recover
-	case "restore-commit":
-		return p.Commit
-	case "restore-barrier":
-		return p.Barrier
-	default:
-		return 0
+// End closes the current run.
+func (t *RunTracker) End() {
+	if t.run > 0 {
+		t.R.RunLengths.Record(t.run)
+		t.R.LargestRun = max(t.R.LargestRun, t.run)
 	}
+	t.run = 0
 }
 
 // RunLengthBuckets is the explicit bucket ladder (run length in chunks)
@@ -183,28 +134,11 @@ var RunLengthBuckets = []int64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096
 
 // WriteCountHistogram emits a histogram of dimensionless counts (run
 // lengths, sizes) as a Prometheus histogram family over an explicit
-// integer `le` ladder. Cumulative counts come from Histogram.CountLE, so
-// monotonicity holds by construction.
+// integer `le` ladder.
 func WriteCountHistogram(w io.Writer, name, help, labels string, ladder []int64, h *Histogram) {
-	if h.Count() == 0 {
-		return
-	}
-	sep := ""
-	if labels != "" {
-		sep = ","
-	}
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-	for _, le := range ladder {
-		fmt.Fprintf(w, "%s_bucket{%s%sle=\"%d\"} %d\n", name, labels, sep, le, h.CountLE(le))
-	}
-	fmt.Fprintf(w, "%s_bucket{%s%sle=\"+Inf\"} %d\n", name, labels, sep, h.Count())
-	if labels == "" {
-		fmt.Fprintf(w, "%s_sum %d\n", name, h.Sum())
-		fmt.Fprintf(w, "%s_count %d\n", name, h.Count())
-	} else {
-		fmt.Fprintf(w, "%s_sum{%s} %d\n", name, labels, h.Sum())
-		fmt.Fprintf(w, "%s_count{%s} %d\n", name, labels, h.Count())
-	}
+	writeHistogram(w, name, help, labels, h, len(ladder), func(i int) (string, int64) {
+		return fmt.Sprint(ladder[i]), ladder[i]
+	}, fmt.Sprint(h.Sum()))
 }
 
 // WritePrometheus emits the restore's counters, ratios, phase timings and
@@ -240,12 +174,8 @@ func (r Restore) WritePrometheus(w io.Writer) {
 		"Chunks fetched from peers over unique chunks.",
 		"dedupcr_restore_read_amplification_chunks{%s} %.6f\n", rank, r.ReadAmplificationChunks())
 
-	fmt.Fprintf(w, "# HELP dedupcr_restore_phase_seconds Wall-clock time of one restore pipeline phase.\n")
-	fmt.Fprintf(w, "# TYPE dedupcr_restore_phase_seconds gauge\n")
-	for _, name := range RestorePhaseNames {
-		fmt.Fprintf(w, "dedupcr_restore_phase_seconds{%s,phase=%q} %.9f\n", rank, name, r.Phases.ByName(name).Seconds())
-	}
-	fmt.Fprintf(w, "dedupcr_restore_phase_seconds{%s,phase=\"total\"} %.9f\n", rank, r.Phases.Total.Seconds())
+	writePhaseSeconds(w, "dedupcr_restore_phase_seconds", "Wall-clock time of one restore pipeline phase.",
+		rank, RestorePipeline, r.Phases)
 
 	if nonZero(r.PeerFetchBytes) {
 		fmt.Fprintf(w, "# HELP dedupcr_restore_peer_fetched_bytes_total Bytes this rank fetched from one peer.\n")

@@ -27,12 +27,11 @@ func sampleRestore() Restore {
 		FetchRequests: 110, FetchMisses: 4, MetaFetches: 1, RecoveredChunks: 8,
 		SourceRanks: 3, ObjectsTouched: 151, LargestRun: 120,
 		PeerFetchChunks: []int64{0, 40, 0, 66}, PeerFetchBytes: []int64{0, 163_840, 0, 270_336},
-		Phases: RestorePhases{
-			Meta: 200 * time.Microsecond, Assemble: 8 * time.Millisecond,
-			Fetch: 5 * time.Millisecond, Recover: time.Millisecond,
-			Commit: 500 * time.Microsecond, Barrier: 300 * time.Microsecond,
-			Total: 10 * time.Millisecond,
-		},
+		Phases: PhaseTimes{Dur: [NumPhases]time.Duration{
+			RestoreMeta: 200 * time.Microsecond, Assemble: 8 * time.Millisecond,
+			Fetch: 5 * time.Millisecond, ShardRecover: time.Millisecond,
+			RestoreCommit: 500 * time.Microsecond, RestoreBarrier: 300 * time.Microsecond,
+		}, Total: 10 * time.Millisecond},
 		BarrierExit:      time.Unix(1700000000, 0),
 		RunLengths:       runs,
 		FetchLatency:     fetch,
@@ -108,25 +107,26 @@ func TestReadAmplification(t *testing.T) {
 // TestRestorePhasesDecomposition checks the Sum/Other contract: Fetch is
 // contained in Assemble and excluded from Sum; Other never goes negative.
 func TestRestorePhasesDecomposition(t *testing.T) {
-	p := RestorePhases{
-		Meta: 1 * time.Millisecond, Assemble: 8 * time.Millisecond,
-		Fetch: 5 * time.Millisecond, Recover: 2 * time.Millisecond,
-		Commit: 1 * time.Millisecond, Barrier: 1 * time.Millisecond,
-		Total: 14 * time.Millisecond,
-	}
+	p := PhaseTimes{Dur: [NumPhases]time.Duration{
+		RestoreMeta: 1 * time.Millisecond, Assemble: 8 * time.Millisecond,
+		Fetch: 5 * time.Millisecond, ShardRecover: 2 * time.Millisecond,
+		RestoreCommit: 1 * time.Millisecond, RestoreBarrier: 1 * time.Millisecond,
+	}, Total: 14 * time.Millisecond}
 	if got, want := p.Sum(), 13*time.Millisecond; got != want {
 		t.Errorf("Sum: got %v, want %v (Fetch must not double-count)", got, want)
 	}
 	if got, want := p.Other(), time.Millisecond; got != want {
 		t.Errorf("Other: got %v, want %v", got, want)
 	}
-	if (RestorePhases{Total: time.Millisecond, Assemble: 2 * time.Millisecond}).Other() != 0 {
+	if (PhaseTimes{Dur: [NumPhases]time.Duration{
+		Assemble: 2 * time.Millisecond,
+	}, Total: time.Millisecond}).Other() != 0 {
 		t.Error("Other must clamp at 0")
 	}
-	var q RestorePhases
+	var q PhaseTimes
 	q.Add(p)
 	q.Add(p)
-	if q.Assemble != 16*time.Millisecond || q.Fetch != 10*time.Millisecond || q.Total != 28*time.Millisecond {
+	if q.Dur[Assemble] != 16*time.Millisecond || q.Dur[Fetch] != 10*time.Millisecond || q.Total != 28*time.Millisecond {
 		t.Errorf("Add accumulation wrong: %+v", q)
 	}
 	for _, name := range RestorePhaseNames {

@@ -8,40 +8,51 @@ import (
 	"dedupcr/internal/obs"
 )
 
-// GatherCluster collects every rank's dump metrics at rank 0 over the
-// group's own communicator and reduces them into a ClusterDump. It is a
-// collective call: every rank must enter it with its own dump (SPMD,
-// like the dump itself), and only rank 0 receives a non-nil result. The
-// gather rides the same transport as the dump — no out-of-band
-// monitoring channel, matching the paper's in-band measurement setup.
-//
-// The gather runs after the pipeline's completion barrier, outside any
-// dump/restore phase; a failure here is attributed to the telemetry
-// plane by its own error wrapping, not to a pipeline phase.
-//
-//dedupvet:phased
-func GatherCluster(c collectives.Comm, d metrics.Dump, opts Options) (*ClusterDump, error) {
-	enc, err := EncodeDump(d)
+// gather is the one in-band gather of a per-rank record: every rank
+// publishes the gather's own phase (so a failure here is not blamed on
+// the pipeline phase before it), encodes its record and sends it to rank
+// 0 over the group's own communicator — no out-of-band monitoring
+// channel, matching the paper's in-band measurement setup. Rank 0
+// decodes every slot and checks that slot r carries rank r; the other
+// ranks return nil.
+func gather[T any](c collectives.Comm, phase metrics.Phase, rec T,
+	encode func(T) ([]byte, error), decode func([]byte) (T, error), rank func(*T) int) ([]T, error) {
+	enc, err := encode(rec)
 	if err != nil {
-		return nil, fmt.Errorf("telemetry: rank %d encode: %w", c.Rank(), err)
+		return nil, fmt.Errorf("telemetry: rank %d encode for %s: %w", c.Rank(), phase, err)
 	}
+	collectives.NotePhase(c, phase.String())
 	raw, err := collectives.Gather(c, 0, enc)
 	if err != nil {
-		return nil, fmt.Errorf("telemetry: rank %d gather: %w", c.Rank(), err)
+		return nil, fmt.Errorf("telemetry: rank %d %s gather: %w", c.Rank(), phase, err)
 	}
 	if c.Rank() != 0 {
 		return nil, nil
 	}
-	dumps := make([]metrics.Dump, len(raw))
+	out := make([]T, len(raw))
 	for r, b := range raw {
-		dd, err := DecodeDump(b)
+		v, err := decode(b)
 		if err != nil {
-			return nil, fmt.Errorf("telemetry: decode rank %d: %w", r, err)
+			return nil, fmt.Errorf("telemetry: %s: decode rank %d: %w", phase, r, err)
 		}
-		if dd.Rank != r {
-			return nil, fmt.Errorf("telemetry: gather slot %d carries rank %d", r, dd.Rank)
+		if got := rank(&v); got != r {
+			return nil, fmt.Errorf("telemetry: %s slot %d carries rank %d", phase, r, got)
 		}
-		dumps[r] = dd
+		out[r] = v
+	}
+	return out, nil
+}
+
+// GatherCluster collects every rank's dump metrics at rank 0 and reduces
+// them into a ClusterDump. It is a collective call: every rank must enter
+// it with its own dump (SPMD, like the dump itself), and only rank 0
+// receives a non-nil result. It runs after the dump's completion barrier
+// under its own phase, dump-telemetry.
+func GatherCluster(c collectives.Comm, d metrics.Dump, opts Options) (*ClusterDump, error) {
+	dumps, err := gather(c, metrics.DumpTelemetry, d, EncodeDump, DecodeDump,
+		func(d *metrics.Dump) int { return d.Rank })
+	if dumps == nil {
+		return nil, err
 	}
 	cd, err := Aggregate(dumps, opts)
 	if err != nil {
@@ -55,4 +66,30 @@ func GatherCluster(c collectives.Comm, d metrics.Dump, opts Options) (*ClusterDu
 			"straggler: %s vs median %s", st.Duration, st.Median)
 	}
 	return cd, nil
+}
+
+// GatherClusterRestore collects every rank's restore metrics at rank 0
+// and reduces them into a ClusterRestore. Collective like GatherCluster,
+// under the restore-telemetry phase.
+func GatherClusterRestore(c collectives.Comm, r metrics.Restore, opts Options) (*ClusterRestore, error) {
+	rs, err := gather(c, metrics.RestoreTelemetry, r, EncodeRestore, DecodeRestore,
+		func(r *metrics.Restore) int { return r.Rank })
+	if rs == nil {
+		return nil, err
+	}
+	return AggregateRestore(rs, opts)
+}
+
+// GatherClusterStore collects every rank's store snapshot at rank 0 and
+// reduces them into a ClusterStore, under the store-telemetry phase.
+// Collective like GatherCluster: every rank must enter it
+// unconditionally — ranks on non-segment engines report the zero
+// snapshot — and only rank 0 receives a non-nil result.
+func GatherClusterStore(c collectives.Comm, s metrics.StoreStats) (*ClusterStore, error) {
+	stats, err := gather(c, metrics.StoreTelemetry, s, EncodeStoreStats, DecodeStoreStats,
+		func(s *metrics.StoreStats) int { return s.Rank })
+	if stats == nil {
+		return nil, err
+	}
+	return AggregateStore(stats)
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"dedupcr/internal/metrics"
 	"dedupcr/internal/trace"
 )
 
@@ -21,9 +22,13 @@ type RankTrace struct {
 	Events []trace.Event
 }
 
-// anchorName is the span the alignment keys on: the dump's completion
-// barrier, which every rank exits within one dissemination sweep.
-const anchorName = "barrier"
+// isAnchor reports whether a span is one the alignment keys on: a
+// completion-barrier phase of the phase table, which every rank exits
+// within one dissemination sweep.
+func isAnchor(name string) bool {
+	p, ok := metrics.PhaseByName(name)
+	return ok && p.IsBarrier()
+}
 
 // anchor returns the alignment instant of one rank's event set: the end
 // of its last completion-barrier span, falling back to the last span end
@@ -35,7 +40,7 @@ func anchor(evs []trace.Event) (time.Duration, bool) {
 		if e.End() > last {
 			last = e.End()
 		}
-		if e.Name == anchorName && e.End() > barrier {
+		if isAnchor(e.Name) && e.End() > barrier {
 			barrier, haveBarrier = e.End(), true
 		}
 	}

@@ -51,7 +51,9 @@ func TestClusterExpositionWellFormed(t *testing.T) {
 	// A straggler-free dump must omit the excess family entirely.
 	flat := make([]metrics.Dump, 4)
 	for r := range flat {
-		flat[r] = metrics.Dump{Rank: r, Phases: metrics.Phases{Put: time.Millisecond, Total: time.Millisecond}}
+		flat[r] = metrics.Dump{Rank: r, Phases: metrics.Phases{PhaseTimes: metrics.PhaseTimes{Dur: [metrics.NumPhases]time.Duration{
+			metrics.Put: time.Millisecond,
+		}, Total: time.Millisecond}}}
 	}
 	cdFlat, err := Aggregate(flat, Options{})
 	if err != nil {

@@ -38,19 +38,16 @@ func clusterRestores(n int) []metrics.Restore {
 			FetchRequests: int64(r), SourceRanks: sources,
 			ObjectsTouched: 200 + r, LargestRun: 256,
 			PeerFetchChunks: make([]int64, n), PeerFetchBytes: peerBytes,
-			Phases: metrics.RestorePhases{
-				Meta:     100 * time.Microsecond,
-				Assemble: time.Duration(r+1) * 10 * time.Millisecond,
-				Fetch:    time.Duration(r) * 5 * time.Millisecond,
-				Barrier:  time.Millisecond,
-				Total:    time.Duration(r+2) * 11 * time.Millisecond,
-			},
+			Phases: metrics.PhaseTimes{Dur: [metrics.NumPhases]time.Duration{
+				metrics.RestoreMeta: 100 * time.Microsecond, metrics.Assemble: time.Duration(r+1) * 10 * time.Millisecond,
+				metrics.Fetch: time.Duration(r) * 5 * time.Millisecond, metrics.RestoreBarrier: time.Millisecond,
+			}, Total: time.Duration(r+2) * 11 * time.Millisecond},
 			BarrierExit: base.Add(time.Duration(r) * time.Microsecond),
 			RunLengths:  runs,
 		}
 	}
 	// Make the last rank an unambiguous barrier straggler.
-	rs[n-1].Phases.Barrier = 50 * time.Millisecond
+	rs[n-1].Phases.Dur[metrics.RestoreBarrier] = 50 * time.Millisecond
 	return rs
 }
 

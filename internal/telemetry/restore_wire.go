@@ -15,11 +15,11 @@ const restoreWireVersion = 3
 
 // EncodeRestore serializes one rank's restore metrics for the in-band
 // gather: a version byte, the fixed counters and phase durations as
-// big-endian int64s, the per-peer traffic-matrix row with a uint32
-// length prefix, the barrier-exit wall stamp (unix nanoseconds, 0 when
-// unset) and three optional histograms (run lengths, fetch latency,
-// store read latency), each a flag byte + length-prefixed sparse
-// encoding.
+// big-endian int64s (the restore phases in table order, then the
+// total), the per-peer traffic-matrix row with a uint32 length prefix,
+// the barrier-exit wall stamp (unix nanoseconds, 0 when unset) and three
+// optional histograms (run lengths, fetch latency, store read latency),
+// each a flag byte + length-prefixed sparse encoding.
 func EncodeRestore(r metrics.Restore) ([]byte, error) {
 	var buf []byte
 	i64 := func(v int64) { buf = binary.BigEndian.AppendUint64(buf, uint64(v)) }
@@ -61,12 +61,10 @@ func EncodeRestore(r metrics.Restore) ([]byte, error) {
 	i64(int64(r.ObjectsTouched))
 	i64(r.LargestRun)
 
-	p := r.Phases
-	for _, ph := range []time.Duration{
-		p.Meta, p.Assemble, p.Fetch, p.Recover, p.Commit, p.Barrier, p.Total,
-	} {
-		i64(int64(ph))
+	for _, ph := range metrics.RestorePipeline.Phases() {
+		i64(int64(r.Phases.Dur[ph]))
 	}
+	i64(int64(r.Phases.Total))
 
 	i64s(r.PeerFetchChunks)
 	i64s(r.PeerFetchBytes)
@@ -180,19 +178,19 @@ func DecodeRestore(data []byte) (metrics.Restore, error) {
 	r.ObjectsTouched = int(ints[13])
 	r.LargestRun = ints[14]
 
-	phases := make([]time.Duration, 7)
-	for i := range phases {
+	for _, ph := range metrics.RestorePipeline.Phases() {
 		v, ok := i64()
 		if !ok {
 			return fail()
 		}
-		phases[i] = time.Duration(v)
+		r.Phases.Dur[ph] = time.Duration(v)
 	}
-	p := &r.Phases
-	p.Meta, p.Assemble, p.Fetch, p.Recover = phases[0], phases[1], phases[2], phases[3]
-	p.Commit, p.Barrier, p.Total = phases[4], phases[5], phases[6]
+	total, ok := i64()
+	if !ok {
+		return fail()
+	}
+	r.Phases.Total = time.Duration(total)
 
-	var ok bool
 	if r.PeerFetchChunks, ok = i64s(); !ok {
 		return fail()
 	}

@@ -29,12 +29,11 @@ func fullRestore(rank int) metrics.Restore {
 		FetchRequests: 110, FetchMisses: 4, MetaFetches: 1, RecoveredChunks: 12,
 		SourceRanks: 5, ObjectsTouched: 161, LargestRun: 256,
 		PeerFetchChunks: []int64{0, 40, 66}, PeerFetchBytes: []int64{0, 160_000, 288_576},
-		Phases: metrics.RestorePhases{
-			Meta: 300 * time.Microsecond, Assemble: 9 * time.Millisecond,
-			Fetch: 6 * time.Millisecond, Recover: 2 * time.Millisecond,
-			Commit: time.Millisecond, Barrier: 700 * time.Microsecond,
-			Total: 13 * time.Millisecond,
-		},
+		Phases: metrics.PhaseTimes{Dur: [metrics.NumPhases]time.Duration{
+			metrics.RestoreMeta: 300 * time.Microsecond, metrics.Assemble: 9 * time.Millisecond,
+			metrics.Fetch: 6 * time.Millisecond, metrics.ShardRecover: 2 * time.Millisecond,
+			metrics.RestoreCommit: time.Millisecond, metrics.RestoreBarrier: 700 * time.Microsecond,
+		}, Total: 13 * time.Millisecond},
 		BarrierExit:      time.Unix(1700000000, 987654321),
 		RunLengths:       runs,
 		FetchLatency:     fetch,
@@ -124,11 +123,6 @@ func TestRestoreWireRejects(t *testing.T) {
 	if _, err := DecodeRestore(append([]byte{99}, enc[1:]...)); err == nil {
 		t.Error("wrong version accepted")
 	}
-	// The restore codec is new in wire v3: a v2 version byte has no
-	// restore payload to carry and must be rejected, not guessed at.
-	if _, err := DecodeRestore(append([]byte{dumpWireVersionV2}, enc[1:]...)); err == nil {
-		t.Error("v2 version byte accepted on the restore codec")
-	}
 	for _, cut := range []int{1, 8, len(enc) / 2, len(enc) - 1} {
 		if _, err := DecodeRestore(enc[:cut]); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
@@ -136,30 +130,6 @@ func TestRestoreWireRejects(t *testing.T) {
 	}
 	if _, err := DecodeRestore(append(append([]byte(nil), enc...), 0)); err == nil {
 		t.Error("trailing bytes accepted")
-	}
-}
-
-// TestDumpWireDecodesV2 pins cross-version compatibility: the wire bump
-// to v3 (which added the restore codec) left the dump layout untouched,
-// so a v2 peer's dump payload must still decode on a v3 aggregator —
-// mixed-version clusters mid-rollout gather without error.
-func TestDumpWireDecodesV2(t *testing.T) {
-	in := fullDump(2)
-	enc, err := EncodeDump(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2 := append([]byte(nil), enc...)
-	v2[0] = dumpWireVersionV2
-	out, err := DecodeDump(v2)
-	if err != nil {
-		t.Fatalf("v2 dump rejected by v3 decoder: %v", err)
-	}
-	if out.Rank != in.Rank || out.SentBytes != in.SentBytes || out.Phases.Put != in.Phases.Put {
-		t.Fatalf("v2 decode mismatch: %+v", out)
-	}
-	if out.PutLatency == nil || out.PutLatency.Count() != in.PutLatency.Count() {
-		t.Error("v2 histogram lost")
 	}
 }
 

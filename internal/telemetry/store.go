@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"dedupcr/internal/collectives"
 	"dedupcr/internal/metrics"
 )
 
@@ -93,24 +92,16 @@ type ClusterStore struct {
 // Pure function shared by the in-band gather and the experiment harness;
 // the slice may be in any rank order, every rank exactly once.
 func AggregateStore(stats []metrics.StoreStats) (*ClusterStore, error) {
-	if len(stats) == 0 {
-		return nil, fmt.Errorf("telemetry: no store stats to aggregate")
+	byRank, err := rankSlots(stats, "store stats", func(s *metrics.StoreStats) int { return s.Rank })
+	if err != nil {
+		return nil, err
 	}
 	cs := &ClusterStore{Kind: "store", Ranks: len(stats), PerRank: make([]metrics.StoreStats, len(stats))}
-	seen := make([]bool, len(stats))
 	garbage := make([]int64, len(stats))
-	for i := range stats {
-		s := stats[i]
-		if s.Rank < 0 || s.Rank >= len(stats) {
-			return nil, fmt.Errorf("telemetry: store rank %d out of range [0,%d)", s.Rank, len(stats))
-		}
-		if seen[s.Rank] {
-			return nil, fmt.Errorf("telemetry: duplicate store stats for rank %d", s.Rank)
-		}
-		seen[s.Rank] = true
-		cs.PerRank[s.Rank] = s
-		cs.Total.Add(s)
-		garbage[s.Rank] = s.GarbageBytes
+	for rank, s := range byRank {
+		cs.PerRank[rank] = *s
+		cs.Total.Add(*s)
+		garbage[rank] = s.GarbageBytes
 		if r := s.GarbageRatio(); r > cs.MaxGarbageRatio {
 			cs.MaxGarbageRatio = r
 		}
@@ -121,68 +112,21 @@ func AggregateStore(stats []metrics.StoreStats) (*ClusterStore, error) {
 	return cs, nil
 }
 
-// GatherClusterStore collects every rank's store snapshot at rank 0 and
-// reduces them into a ClusterStore. Collective like GatherCluster: every
-// rank must enter it unconditionally — ranks on non-segment engines
-// report the zero snapshot — and only rank 0 receives a non-nil result.
-//
-//dedupvet:phased
-func GatherClusterStore(c collectives.Comm, s metrics.StoreStats) (*ClusterStore, error) {
-	enc, err := EncodeStoreStats(s)
-	if err != nil {
-		return nil, fmt.Errorf("telemetry: rank %d encode store: %w", c.Rank(), err)
-	}
-	collectives.NotePhase(c, "store-telemetry")
-	raw, err := collectives.Gather(c, 0, enc)
-	if err != nil {
-		return nil, fmt.Errorf("telemetry: rank %d store gather: %w", c.Rank(), err)
-	}
-	if c.Rank() != 0 {
-		return nil, nil
-	}
-	stats := make([]metrics.StoreStats, len(raw))
-	for rank, b := range raw {
-		ss, err := DecodeStoreStats(b)
-		if err != nil {
-			return nil, fmt.Errorf("telemetry: decode store rank %d: %w", rank, err)
-		}
-		if ss.Rank != rank {
-			return nil, fmt.Errorf("telemetry: store gather slot %d carries rank %d", rank, ss.Rank)
-		}
-		stats[rank] = ss
-	}
-	return AggregateStore(stats)
-}
-
 // WritePrometheus renders the cluster store view in Prometheus text
 // exposition format, the dedupcr_cluster_store_* families.
 func (cs *ClusterStore) WritePrometheus(w io.Writer) {
-	gauge := func(name, help string) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
-	}
-	gauge("dedupcr_cluster_store_ranks", "Number of ranks aggregated into the cluster store view.")
-	fmt.Fprintf(w, "dedupcr_cluster_store_ranks %d\n", cs.Ranks)
-	gauge("dedupcr_cluster_store_segments", "Segments across all local stores (sealed plus active).")
-	fmt.Fprintf(w, "dedupcr_cluster_store_segments %d\n", cs.Total.Segments)
-	gauge("dedupcr_cluster_store_live_bytes", "Live payload bytes across all local stores.")
-	fmt.Fprintf(w, "dedupcr_cluster_store_live_bytes %d\n", cs.Total.LiveBytes)
-	gauge("dedupcr_cluster_store_data_bytes", "On-disk payload bytes across all local stores, garbage included.")
-	fmt.Fprintf(w, "dedupcr_cluster_store_data_bytes %d\n", cs.Total.DataBytes)
-	gauge("dedupcr_cluster_store_garbage_bytes", "Tombstoned payload bytes awaiting compaction, cluster-wide.")
-	fmt.Fprintf(w, "dedupcr_cluster_store_garbage_bytes %d\n", cs.Total.GarbageBytes)
-	gauge("dedupcr_cluster_store_garbage_ratio", "Cluster-wide tombstoned fraction of on-disk payload.")
-	fmt.Fprintf(w, "dedupcr_cluster_store_garbage_ratio %.6f\n", cs.GarbageRatio)
-	gauge("dedupcr_cluster_store_max_garbage_ratio", "Worst single rank's garbage fraction.")
-	fmt.Fprintf(w, "dedupcr_cluster_store_max_garbage_ratio %.6f\n", cs.MaxGarbageRatio)
-	gauge("dedupcr_cluster_store_reclaim_ratio", "Reclaimed fraction of all tombstoned bytes, cluster-wide.")
-	fmt.Fprintf(w, "dedupcr_cluster_store_reclaim_ratio %.6f\n", cs.ReclaimRatio)
-	gauge("dedupcr_cluster_store_garbage_imbalance", "Max/mean of per-rank garbage bytes (1.0 = even).")
-	fmt.Fprintf(w, "dedupcr_cluster_store_garbage_imbalance %.6f\n", cs.GarbageImbalance)
-	gauge("dedupcr_cluster_store_compactions", "Compaction sweeps summed over ranks.")
-	fmt.Fprintf(w, "dedupcr_cluster_store_compactions %d\n", cs.Total.Compactions)
-	gauge("dedupcr_cluster_store_reclaimed_bytes", "Tombstoned bytes physically reclaimed, summed over ranks.")
-	fmt.Fprintf(w, "dedupcr_cluster_store_reclaimed_bytes %d\n", cs.Total.ReclaimedBytes)
-	gauge("dedupcr_cluster_store_rank_garbage_bytes", "Tombstoned payload bytes awaiting compaction on one rank.")
+	scalar(w, "dedupcr_cluster_store_ranks", "Number of ranks aggregated into the cluster store view.", "%d", cs.Ranks)
+	scalar(w, "dedupcr_cluster_store_segments", "Segments across all local stores (sealed plus active).", "%d", cs.Total.Segments)
+	scalar(w, "dedupcr_cluster_store_live_bytes", "Live payload bytes across all local stores.", "%d", cs.Total.LiveBytes)
+	scalar(w, "dedupcr_cluster_store_data_bytes", "On-disk payload bytes across all local stores, garbage included.", "%d", cs.Total.DataBytes)
+	scalar(w, "dedupcr_cluster_store_garbage_bytes", "Tombstoned payload bytes awaiting compaction, cluster-wide.", "%d", cs.Total.GarbageBytes)
+	scalar(w, "dedupcr_cluster_store_garbage_ratio", "Cluster-wide tombstoned fraction of on-disk payload.", "%.6f", cs.GarbageRatio)
+	scalar(w, "dedupcr_cluster_store_max_garbage_ratio", "Worst single rank's garbage fraction.", "%.6f", cs.MaxGarbageRatio)
+	scalar(w, "dedupcr_cluster_store_reclaim_ratio", "Reclaimed fraction of all tombstoned bytes, cluster-wide.", "%.6f", cs.ReclaimRatio)
+	scalar(w, "dedupcr_cluster_store_garbage_imbalance", "Max/mean of per-rank garbage bytes (1.0 = even).", "%.6f", cs.GarbageImbalance)
+	scalar(w, "dedupcr_cluster_store_compactions", "Compaction sweeps summed over ranks.", "%d", cs.Total.Compactions)
+	scalar(w, "dedupcr_cluster_store_reclaimed_bytes", "Tombstoned bytes physically reclaimed, summed over ranks.", "%d", cs.Total.ReclaimedBytes)
+	gauge(w, "dedupcr_cluster_store_rank_garbage_bytes", "Tombstoned payload bytes awaiting compaction on one rank.")
 	for _, s := range cs.PerRank {
 		fmt.Fprintf(w, "dedupcr_cluster_store_rank_garbage_bytes{rank=\"%d\"} %d\n", s.Rank, s.GarbageBytes)
 	}

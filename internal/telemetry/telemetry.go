@@ -57,7 +57,7 @@ func (o Options) normalized() Options {
 
 // PhaseStat is the cross-rank spread of one pipeline phase.
 type PhaseStat struct {
-	// Name is the phase label (one of metrics.PhaseNames, or "total").
+	// Name is the phase label (a phase-table name, or "total").
 	Name string
 	// Min/Median/P95/Max summarize the per-rank durations
 	// (nearest-rank quantiles).
@@ -106,8 +106,8 @@ func (s Straggler) Excess() time.Duration { return s.Duration - s.Median }
 type ClusterDump struct {
 	// Ranks is the group size the dump was aggregated over.
 	Ranks int
-	// Phases holds one spread entry per pipeline phase (in
-	// metrics.PhaseNames order) plus a final "total" entry.
+	// Phases holds one spread entry per dump phase (in phase-table
+	// order) plus a final "total" entry.
 	Phases []PhaseStat
 	// TotalSentBytes/TotalRecvBytes sum replication traffic over ranks.
 	TotalSentBytes, TotalRecvBytes int64
@@ -145,120 +145,147 @@ func imbalance(v []int64) float64 {
 	return float64(metrics.Max(v)) / m
 }
 
+// rankSlots orders per-rank records by rank, checking that every rank of
+// [0, len(recs)) appears exactly once.
+func rankSlots[T any](recs []T, what string, rank func(*T) int) ([]*T, error) {
+	if len(recs) == 0 {
+		return nil, fmt.Errorf("telemetry: no %s records to aggregate", what)
+	}
+	out := make([]*T, len(recs))
+	for i := range recs {
+		r := rank(&recs[i])
+		if r < 0 || r >= len(recs) {
+			return nil, fmt.Errorf("telemetry: %s rank %d out of range [0,%d)", what, r, len(recs))
+		}
+		if out[r] != nil {
+			return nil, fmt.Errorf("telemetry: duplicate %s for rank %d", what, r)
+		}
+		out[r] = &recs[i]
+	}
+	return out, nil
+}
+
+// clockOffsets estimates per-rank clock offsets from the barrier-exit
+// stamps (indexed by rank): the latest stamp is the reference and each
+// rank's offset is how far its stamp lags it (zero without a stamp).
+// spread is the width of the stamp window, zero with fewer than two
+// stamps.
+func clockOffsets(exits []time.Time) (offsets []time.Duration, spread time.Duration) {
+	var ref, earliest time.Time
+	for _, t := range exits {
+		if t.After(ref) {
+			ref = t
+		}
+	}
+	offsets = make([]time.Duration, len(exits))
+	for r, t := range exits {
+		if t.IsZero() {
+			continue
+		}
+		offsets[r] = ref.Sub(t)
+		if earliest.IsZero() || t.Before(earliest) {
+			earliest = t
+		}
+	}
+	if !earliest.IsZero() {
+		spread = ref.Sub(earliest)
+	}
+	return offsets, spread
+}
+
+// reducePhases computes the cross-rank spread of every phase of kind, in
+// table order, plus a final "total" entry (times is indexed by rank),
+// and flags stragglers: a rank whose phase time exceeds StragglerFactor x
+// the cluster median by at least MinExcess. Nested phases are never
+// flagged, since the phase containing them already counts their time.
+func reducePhases(kind metrics.PhaseKind, times []metrics.PhaseTimes, opts Options) ([]PhaseStat, []Straggler) {
+	var stats []PhaseStat
+	var stragglers []Straggler
+	durs := make([]int64, len(times))
+	for _, p := range kind.Phases() {
+		for r, t := range times {
+			durs[r] = int64(t.Dur[p])
+		}
+		ps := spread(p.String(), durs)
+		stats = append(stats, ps)
+		if p.Nested() || opts.StragglerFactor < 0 {
+			continue
+		}
+		for r, v := range durs {
+			d := time.Duration(v)
+			if float64(d) > opts.StragglerFactor*float64(ps.Median) && d-ps.Median >= opts.MinExcess {
+				stragglers = append(stragglers, Straggler{Rank: r, Phase: ps.Name, Duration: d, Median: ps.Median})
+			}
+		}
+	}
+	for r, t := range times {
+		durs[r] = int64(t.Total)
+	}
+	return append(stats, spread("total", durs)), stragglers
+}
+
+// spread summarizes one phase's per-rank durations (indexed by rank).
+func spread(name string, durs []int64) PhaseStat {
+	ps := PhaseStat{
+		Name:   name,
+		Min:    time.Duration(metrics.Quantile(durs, 0)),
+		Median: time.Duration(metrics.Quantile(durs, 0.5)),
+		P95:    time.Duration(metrics.Quantile(durs, 0.95)),
+		Max:    time.Duration(metrics.Max(durs)),
+		Mean:   time.Duration(metrics.Avg(durs)),
+	}
+	for r, v := range durs {
+		if time.Duration(v) == ps.Max {
+			ps.SlowestRank = r
+			break
+		}
+	}
+	return ps
+}
+
 // Aggregate reduces per-rank dump metrics into a ClusterDump. It is a
 // pure function: the in-band gather path (GatherCluster) and the
 // experiment harness both call it, so simulated and live clusters report
 // through identical code. The dumps slice may be in any rank order;
 // every rank must appear exactly once.
 func Aggregate(dumps []metrics.Dump, opts Options) (*ClusterDump, error) {
-	if len(dumps) == 0 {
-		return nil, fmt.Errorf("telemetry: no dumps to aggregate")
+	byRank, err := rankSlots(dumps, "dump", func(d *metrics.Dump) int { return d.Rank })
+	if err != nil {
+		return nil, err
 	}
 	opts = opts.normalized()
-	byRank := make([]*metrics.Dump, len(dumps))
-	for i := range dumps {
-		d := &dumps[i]
-		if d.Rank < 0 || d.Rank >= len(dumps) {
-			return nil, fmt.Errorf("telemetry: dump rank %d out of range [0,%d)", d.Rank, len(dumps))
-		}
-		if byRank[d.Rank] != nil {
-			return nil, fmt.Errorf("telemetry: duplicate dump for rank %d", d.Rank)
-		}
-		byRank[d.Rank] = d
-	}
-
 	cd := &ClusterDump{Ranks: len(dumps), Options: opts}
-
-	// Clock offsets: latest barrier-exit stamp is the reference; each
-	// rank's offset is how far its stamp lags it.
-	var ref time.Time
-	for _, d := range byRank {
-		if d.BarrierExit.After(ref) {
-			ref = d.BarrierExit
-		}
-	}
-	var earliest time.Time
-	cd.PerRank = make([]RankSummary, len(byRank))
+	exits := make([]time.Time, len(byRank))
+	times := make([]metrics.PhaseTimes, len(byRank))
+	stored := make([]int64, len(byRank))
+	sent := make([]int64, len(byRank))
 	for r, d := range byRank {
-		rs := RankSummary{
-			Rank: r, SentBytes: d.SentBytes, RecvBytes: d.RecvBytes,
-			StoredBytes: d.StoredBytes, Total: d.Phases.Total,
-		}
-		if !d.BarrierExit.IsZero() {
-			rs.ClockOffset = ref.Sub(d.BarrierExit)
-			if earliest.IsZero() || d.BarrierExit.Before(earliest) {
-				earliest = d.BarrierExit
-			}
-		}
-		cd.PerRank[r] = rs
+		exits[r], times[r] = d.BarrierExit, d.Phases.PhaseTimes
+		stored[r], sent[r] = d.StoredBytes, d.SentBytes
 		cd.TotalSentBytes += d.SentBytes
 		cd.TotalRecvBytes += d.RecvBytes
 		cd.TotalStoredBytes += d.StoredBytes
 		cd.TotalPutRetries += d.PutRetries
 	}
-	if !earliest.IsZero() {
-		cd.ClockSpread = ref.Sub(earliest)
-	}
-
-	cd.DesignationImbalance = imbalance(collectInts(byRank, func(d *metrics.Dump) int64 { return d.StoredBytes }))
-	cd.SendImbalance = imbalance(collectInts(byRank, func(d *metrics.Dump) int64 { return d.SentBytes }))
-
-	names := append(append([]string(nil), metrics.PhaseNames...), "total")
-	for _, name := range names {
-		durs := make([]int64, len(byRank))
-		for r, d := range byRank {
-			if name == "total" {
-				durs[r] = int64(d.Phases.Total)
-			} else {
-				durs[r] = int64(d.Phases.ByName(name))
-			}
-		}
-		ps := PhaseStat{
-			Name:   name,
-			Min:    time.Duration(metrics.Quantile(durs, 0)),
-			Median: time.Duration(metrics.Quantile(durs, 0.5)),
-			P95:    time.Duration(metrics.Quantile(durs, 0.95)),
-			Max:    time.Duration(metrics.Max(durs)),
-			Mean:   time.Duration(metrics.Avg(durs)),
-		}
-		for r, v := range durs {
-			if time.Duration(v) == ps.Max {
-				ps.SlowestRank = r
-				break
-			}
-		}
-		cd.Phases = append(cd.Phases, ps)
-
-		// Straggler rule: duration > factor x median AND excess >= floor.
-		if name == "total" || opts.StragglerFactor < 0 {
-			continue
-		}
-		median := time.Duration(metrics.Quantile(durs, 0.5))
-		for r, v := range durs {
-			d := time.Duration(v)
-			if float64(d) > opts.StragglerFactor*float64(median) && d-median >= opts.MinExcess {
-				cd.Stragglers = append(cd.Stragglers, Straggler{
-					Rank: r, Phase: name, Duration: d, Median: median,
-				})
-			}
+	offsets, clockSpread := clockOffsets(exits)
+	cd.ClockSpread = clockSpread
+	cd.PerRank = make([]RankSummary, len(byRank))
+	for r, d := range byRank {
+		cd.PerRank[r] = RankSummary{
+			Rank: r, SentBytes: d.SentBytes, RecvBytes: d.RecvBytes,
+			StoredBytes: d.StoredBytes, Total: d.Phases.Total, ClockOffset: offsets[r],
 		}
 	}
+	cd.DesignationImbalance = imbalance(stored)
+	cd.SendImbalance = imbalance(sent)
+	cd.Phases, cd.Stragglers = reducePhases(metrics.DumpPipeline, times, opts)
 	return cd, nil
 }
 
-func collectInts(byRank []*metrics.Dump, sel func(*metrics.Dump) int64) []int64 {
-	out := make([]int64, len(byRank))
-	for r, d := range byRank {
-		out[r] = sel(d)
-	}
-	return out
-}
-
-// StragglersFor returns the flagged stragglers of one rank, in phase
-// order.
-func (cd *ClusterDump) StragglersFor(rank int) []Straggler {
+// stragglersFor returns the stragglers of one rank, in phase order.
+func stragglersFor(ss []Straggler, rank int) []Straggler {
 	var out []Straggler
-	for _, s := range cd.Stragglers {
+	for _, s := range ss {
 		if s.Rank == rank {
 			out = append(out, s)
 		}
@@ -266,10 +293,10 @@ func (cd *ClusterDump) StragglersFor(rank int) []Straggler {
 	return out
 }
 
-// Phase returns the spread entry for the named phase, or a zero
+// phaseStat returns the spread entry for the named phase, or a zero
 // PhaseStat when absent.
-func (cd *ClusterDump) Phase(name string) PhaseStat {
-	for _, ps := range cd.Phases {
+func phaseStat(phases []PhaseStat, name string) PhaseStat {
+	for _, ps := range phases {
 		if ps.Name == name {
 			return ps
 		}
@@ -277,37 +304,57 @@ func (cd *ClusterDump) Phase(name string) PhaseStat {
 	return PhaseStat{}
 }
 
+// StragglersFor returns the flagged stragglers of one rank, in phase
+// order.
+func (cd *ClusterDump) StragglersFor(rank int) []Straggler { return stragglersFor(cd.Stragglers, rank) }
+
+// Phase returns the spread entry for the named phase, or a zero
+// PhaseStat when absent.
+func (cd *ClusterDump) Phase(name string) PhaseStat { return phaseStat(cd.Phases, name) }
+
+// writePhaseTable renders the phase-spread rows of the phases that ran
+// on some rank, with a name column of the given width.
+func writePhaseTable(w io.Writer, width int, phases []PhaseStat) {
+	fmt.Fprintf(w, "%-*s %10s %10s %10s %10s %8s\n",
+		width, "phase", "min", "median", "p95", "max", "slowest")
+	for _, ps := range phases {
+		if ps.Max == 0 {
+			continue
+		}
+		fmt.Fprintf(w, "%-*s %10s %10s %10s %10s %8d\n",
+			width, ps.Name, metrics.Duration(ps.Min), metrics.Duration(ps.Median),
+			metrics.Duration(ps.P95), metrics.Duration(ps.Max), ps.SlowestRank)
+	}
+}
+
+// writeStragglers renders the straggler list with its thresholds, phase
+// names in a column of the given width.
+func writeStragglers(w io.Writer, width int, ss []Straggler, o Options) {
+	if len(ss) == 0 {
+		fmt.Fprintf(w, "stragglers: none (factor %.2f, floor %s)\n",
+			o.StragglerFactor, metrics.Duration(o.MinExcess))
+		return
+	}
+	fmt.Fprintf(w, "stragglers (> %.2fx median, excess >= %s):\n",
+		o.StragglerFactor, metrics.Duration(o.MinExcess))
+	for _, s := range ss {
+		fmt.Fprintf(w, "  rank %d %-*s %10s vs median %s (+%s)\n",
+			s.Rank, width, s.Phase, metrics.Duration(s.Duration),
+			metrics.Duration(s.Median), metrics.Duration(s.Excess()))
+	}
+}
+
 // WriteText renders the cluster dump as the fixed-width table dedupstat
 // and the experiment harness print: the phase-spread table, traffic and
 // imbalance lines, clock spread and the straggler list.
 func (cd *ClusterDump) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "cluster dump: %d ranks\n\n", cd.Ranks)
-	fmt.Fprintf(w, "%-14s %10s %10s %10s %10s %8s\n",
-		"phase", "min", "median", "p95", "max", "slowest")
-	for _, ps := range cd.Phases {
-		if ps.Max == 0 {
-			continue
-		}
-		fmt.Fprintf(w, "%-14s %10s %10s %10s %10s %8d\n",
-			ps.Name, metrics.Duration(ps.Min), metrics.Duration(ps.Median),
-			metrics.Duration(ps.P95), metrics.Duration(ps.Max), ps.SlowestRank)
-	}
+	writePhaseTable(w, 14, cd.Phases)
 	fmt.Fprintf(w, "\ntraffic: sent %s, recv %s, stored %s\n",
 		metrics.Bytes(cd.TotalSentBytes), metrics.Bytes(cd.TotalRecvBytes),
 		metrics.Bytes(cd.TotalStoredBytes))
 	fmt.Fprintf(w, "imbalance (max/mean): designation %.3f, send %.3f\n",
 		cd.DesignationImbalance, cd.SendImbalance)
 	fmt.Fprintf(w, "clock spread: %s\n", metrics.Duration(cd.ClockSpread))
-	if len(cd.Stragglers) == 0 {
-		fmt.Fprintf(w, "stragglers: none (factor %.2f, floor %s)\n",
-			cd.Options.StragglerFactor, metrics.Duration(cd.Options.MinExcess))
-		return
-	}
-	fmt.Fprintf(w, "stragglers (> %.2fx median, excess >= %s):\n",
-		cd.Options.StragglerFactor, metrics.Duration(cd.Options.MinExcess))
-	for _, s := range cd.Stragglers {
-		fmt.Fprintf(w, "  rank %d %-14s %10s vs median %s (+%s)\n",
-			s.Rank, s.Phase, metrics.Duration(s.Duration),
-			metrics.Duration(s.Median), metrics.Duration(s.Excess()))
-	}
+	writeStragglers(w, 14, cd.Stragglers, cd.Options)
 }

@@ -20,12 +20,10 @@ func clusterDumps(n int) []metrics.Dump {
 			SentBytes:   int64(1000 * (r + 1)),
 			RecvBytes:   int64(900 * (r + 1)),
 			StoredBytes: int64(2000 * (r + 1)),
-			Phases: metrics.Phases{
-				Chunking: time.Millisecond,
-				Put:      time.Duration(r+1) * 10 * time.Millisecond,
-				Barrier:  time.Millisecond,
-				Total:    time.Duration(r+1) * 12 * time.Millisecond,
-			},
+			Phases: metrics.Phases{PhaseTimes: metrics.PhaseTimes{Dur: [metrics.NumPhases]time.Duration{
+				metrics.Chunking: time.Millisecond, metrics.Put: time.Duration(r+1) * 10 * time.Millisecond,
+				metrics.Barrier: time.Millisecond,
+			}, Total: time.Duration(r+1) * 12 * time.Millisecond}},
 			BarrierExit: base.Add(time.Duration(r) * time.Microsecond),
 		}
 	}
@@ -98,16 +96,14 @@ func TestAggregateFlagsInjectedStraggler(t *testing.T) {
 	for r := range dumps {
 		dumps[r] = metrics.Dump{
 			Rank: r,
-			Phases: metrics.Phases{
-				Put:     10 * time.Millisecond,
-				Commit:  2 * time.Millisecond,
-				Total:   15 * time.Millisecond,
-				Barrier: time.Millisecond,
-			},
+			Phases: metrics.Phases{PhaseTimes: metrics.PhaseTimes{Dur: [metrics.NumPhases]time.Duration{
+				metrics.Put: 10 * time.Millisecond, metrics.Commit: 2 * time.Millisecond,
+				metrics.Barrier: time.Millisecond,
+			}, Total: 15 * time.Millisecond}},
 		}
 	}
 	// Inject: rank 5 takes 5x the median put time.
-	dumps[5].Phases.Put = 50 * time.Millisecond
+	dumps[5].Phases.Dur[metrics.Put] = 50 * time.Millisecond
 	dumps[5].Phases.Total = 55 * time.Millisecond
 
 	cd, err := Aggregate(dumps, Options{})
@@ -133,9 +129,9 @@ func TestAggregateFlagsInjectedStraggler(t *testing.T) {
 
 	// The floor suppresses the flag when the absolute excess is tiny.
 	for r := range dumps {
-		dumps[r].Phases.Put = 10 * time.Microsecond
+		dumps[r].Phases.Dur[metrics.Put] = 10 * time.Microsecond
 	}
-	dumps[5].Phases.Put = 50 * time.Microsecond // 5x median but only 40µs over
+	dumps[5].Phases.Dur[metrics.Put] = 50 * time.Microsecond // 5x median but only 40µs over
 	cd, err = Aggregate(dumps, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +141,7 @@ func TestAggregateFlagsInjectedStraggler(t *testing.T) {
 	}
 
 	// Negative factor disables detection outright.
-	dumps[5].Phases.Put = 50 * time.Millisecond
+	dumps[5].Phases.Dur[metrics.Put] = 50 * time.Millisecond
 	cd, err = Aggregate(dumps, Options{StragglerFactor: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +167,7 @@ func TestAggregateRejectsBadRankSets(t *testing.T) {
 
 func TestWriteTextRendersAllSections(t *testing.T) {
 	dumps := clusterDumps(4)
-	dumps[3].Phases.Put = 400 * time.Millisecond // force a straggler
+	dumps[3].Phases.Dur[metrics.Put] = 400 * time.Millisecond // force a straggler
 	cd, err := Aggregate(dumps, Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -12,18 +12,16 @@ import (
 // mixed-version group fails loudly instead of mis-decoding. Version 2
 // appended PutRetries to the fixed counter block; version 3 introduced
 // the restore metrics family (EncodeRestore/DecodeRestore) without
-// changing the dump layout, so v2 dump encodings still decode.
-const (
-	dumpWireVersion   = 3
-	dumpWireVersionV2 = 2
-)
+// changing the dump layout.
+const dumpWireVersion = 3
 
 // EncodeDump serializes one rank's dump metrics for the in-band gather:
 // a version byte, the fixed counters and phase durations as big-endian
-// int64s, the variable-length duration slices with uint32 length
-// prefixes, the barrier-exit wall stamp (unix nanoseconds, 0 when unset)
-// and the put-latency histogram (flag byte + length-prefixed sparse
-// encoding, absent when nil).
+// int64s (the dump phases in table order, then the total), the
+// variable-length duration slices with uint32 length prefixes, the
+// barrier-exit wall stamp (unix nanoseconds, 0 when unset) and the
+// put-latency histogram (flag byte + length-prefixed sparse encoding,
+// absent when nil).
 func EncodeDump(d metrics.Dump) ([]byte, error) {
 	var buf []byte
 	i64 := func(v int64) { buf = binary.BigEndian.AppendUint64(buf, uint64(v)) }
@@ -54,13 +52,10 @@ func EncodeDump(d metrics.Dump) ([]byte, error) {
 	i64(d.PutRetries)
 
 	p := d.Phases
-	for _, ph := range []time.Duration{
-		p.Chunking, p.Fingerprint, p.LocalDedup, p.Reduction,
-		p.LoadExchange, p.Planning, p.WindowOpen, p.Put, p.WindowWait,
-		p.Commit, p.Barrier, p.Total,
-	} {
-		i64(int64(ph))
+	for _, ph := range metrics.DumpPipeline.Phases() {
+		i64(int64(p.Dur[ph]))
 	}
+	i64(int64(p.Total))
 	durs(p.ReductionRoundTimes)
 	durs(p.FingerprintWorkers)
 	durs(p.PutWorkers)
@@ -91,9 +86,8 @@ func DecodeDump(data []byte) (metrics.Dump, error) {
 	if len(data) == 0 {
 		return d, fmt.Errorf("telemetry: empty dump encoding")
 	}
-	if data[0] != dumpWireVersion && data[0] != dumpWireVersionV2 {
-		return d, fmt.Errorf("telemetry: dump wire version %d, want %d or %d",
-			data[0], dumpWireVersionV2, dumpWireVersion)
+	if data[0] != dumpWireVersion {
+		return d, fmt.Errorf("telemetry: dump wire version %d, want %d", data[0], dumpWireVersion)
 	}
 	data = data[1:]
 	fail := func() (metrics.Dump, error) {
@@ -153,20 +147,20 @@ func DecodeDump(data []byte) (metrics.Dump, error) {
 	d.UniqueContentBytes = ints[15]
 	d.PutRetries = ints[16]
 
-	phases := make([]time.Duration, 12)
-	for i := range phases {
+	p := &d.Phases
+	for _, ph := range metrics.DumpPipeline.Phases() {
 		v, ok := i64()
 		if !ok {
 			return fail()
 		}
-		phases[i] = time.Duration(v)
+		p.Dur[ph] = time.Duration(v)
 	}
-	p := &d.Phases
-	p.Chunking, p.Fingerprint, p.LocalDedup, p.Reduction = phases[0], phases[1], phases[2], phases[3]
-	p.LoadExchange, p.Planning, p.WindowOpen, p.Put = phases[4], phases[5], phases[6], phases[7]
-	p.WindowWait, p.Commit, p.Barrier, p.Total = phases[8], phases[9], phases[10], phases[11]
+	total, ok := i64()
+	if !ok {
+		return fail()
+	}
+	p.Total = time.Duration(total)
 
-	var ok bool
 	if p.ReductionRoundTimes, ok = durs(); !ok {
 		return fail()
 	}

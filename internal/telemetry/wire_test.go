@@ -19,17 +19,14 @@ func fullDump(rank int) metrics.Dump {
 		SentChunks: 120, SentBytes: 490_000, RecvChunks: 118, RecvBytes: 480_000,
 		ReductionBytes: 65_000, ReductionRounds: 3, LoadExchangeBytes: 2_048,
 		WindowBytes: 500_000, UniqueContentBytes: 820_000, PutRetries: 7,
-		Phases: metrics.Phases{
-			Chunking: time.Millisecond, Fingerprint: 2 * time.Millisecond,
-			LocalDedup: 300 * time.Microsecond, Reduction: 4 * time.Millisecond,
-			ReductionRoundTimes: []time.Duration{2 * time.Millisecond, 1500 * time.Microsecond},
-			FingerprintWorkers:  []time.Duration{time.Millisecond, 900 * time.Microsecond},
-			PutWorkers:          []time.Duration{2 * time.Millisecond},
-			LoadExchange:        time.Millisecond, Planning: 200 * time.Microsecond,
-			WindowOpen: 50 * time.Microsecond, Put: 3 * time.Millisecond,
-			WindowWait: 2 * time.Millisecond, Commit: time.Millisecond,
-			Barrier: 400 * time.Microsecond, Total: 16 * time.Millisecond,
-		},
+		Phases: metrics.Phases{PhaseTimes: metrics.PhaseTimes{Dur: [metrics.NumPhases]time.Duration{
+			metrics.Chunking: time.Millisecond, metrics.Fingerprint: 2 * time.Millisecond,
+			metrics.LocalDedup: 300 * time.Microsecond, metrics.Reduction: 4 * time.Millisecond,
+			metrics.LoadExchange: time.Millisecond, metrics.Planning: 200 * time.Microsecond,
+			metrics.WindowOpen: 50 * time.Microsecond, metrics.Put: 3 * time.Millisecond,
+			metrics.WindowWait: 2 * time.Millisecond, metrics.Commit: time.Millisecond,
+			metrics.Barrier: 400 * time.Microsecond,
+		}, Total: 16 * time.Millisecond}, ReductionRoundTimes: []time.Duration{2 * time.Millisecond, 1500 * time.Microsecond}, FingerprintWorkers: []time.Duration{time.Millisecond, 900 * time.Microsecond}, PutWorkers: []time.Duration{2 * time.Millisecond}},
 		BarrierExit: time.Unix(1700000000, 123456789),
 		PutLatency:  h,
 	}
@@ -50,7 +47,7 @@ func TestDumpWireRoundTrip(t *testing.T) {
 	inCmp, outCmp := in, out
 	inCmp.PutLatency, outCmp.PutLatency = nil, nil
 	if inCmp.Rank != outCmp.Rank || inCmp.SentBytes != outCmp.SentBytes ||
-		inCmp.Phases.Put != outCmp.Phases.Put ||
+		inCmp.Phases.Dur[metrics.Put] != outCmp.Phases.Dur[metrics.Put] ||
 		inCmp.PutRetries != outCmp.PutRetries ||
 		!inCmp.BarrierExit.Equal(outCmp.BarrierExit) {
 		t.Fatalf("round trip mismatch:\n in: %+v\nout: %+v", inCmp, outCmp)
