@@ -32,7 +32,6 @@ lint: vet
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi
 
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzCDCChunker -fuzztime 30s ./internal/chunk
 	$(GO) test -run '^$$' -fuzz FuzzGearChunker -fuzztime 30s ./internal/chunk/gear
 	$(GO) test -run '^$$' -fuzz FuzzBatchOf -fuzztime 30s ./internal/fingerprint
 	$(GO) test -run '^$$' -fuzz FuzzFrameRoundTrip -fuzztime 30s ./internal/collectives
@@ -40,8 +39,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFrameTraceContextDecode -fuzztime 30s ./internal/collectives
 	$(GO) test -run '^$$' -fuzz FuzzTableUnmarshal -fuzztime 30s ./internal/fingerprint
 	$(GO) test -run '^$$' -fuzz FuzzRestoreMetaUnmarshal -fuzztime 30s ./internal/core
-	$(GO) test -run '^$$' -fuzz FuzzDecodeDump -fuzztime 30s ./internal/telemetry
-	$(GO) test -run '^$$' -fuzz FuzzRestoreMetricsDecode -fuzztime 30s ./internal/telemetry
+	$(GO) test -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 30s ./internal/telemetry
 	$(GO) test -run '^$$' -fuzz FuzzHybridMetaUnmarshal -fuzztime 30s ./internal/hybrid
 	$(GO) test -run '^$$' -fuzz FuzzSegmentIndexDecode -fuzztime 30s ./internal/storage
 	$(GO) test -run '^$$' -fuzz FuzzManifestDecode -fuzztime 30s ./internal/storage

@@ -41,8 +41,8 @@ func TestDedupstatSmoke(t *testing.T) {
 		}
 	}
 	// Content-defined mode must also work.
-	if out, err := exec.Command(bin, "-cdc", "-chunk", "512", fa).CombinedOutput(); err != nil {
-		t.Fatalf("cdc run: %v\n%s", err, out)
+	if out, err := exec.Command(bin, "-chunker", "gear", "-chunk", "512", fa).CombinedOutput(); err != nil {
+		t.Fatalf("gear run: %v\n%s", err, out)
 	}
 	// Missing file is an error.
 	if _, err := exec.Command(bin, filepath.Join(dir, "absent")).CombinedOutput(); err == nil {

@@ -44,82 +44,82 @@ import (
 	"dedupcr/internal/trace"
 )
 
-// liveCluster, liveRestore and liveStore hold the latest in-band
-// ClusterDump / ClusterRestore / ClusterStore for the HTTP endpoints.
-// Only rank 0 ever publishes (the gathers deliver there); other ranks'
-// endpoints stay 503.
+// clusterView is what every gathered cluster view (ClusterDump,
+// ClusterRestore, ClusterStore) offers for publishing, besides its JSON
+// encoding.
+type clusterView interface {
+	WriteText(io.Writer)
+	WritePrometheus(io.Writer)
+}
+
+// liveView holds the latest gathered view of one kind for its HTTP
+// endpoints: path serves it as JSON, path+"/metrics" as a Prometheus
+// exposition. Only rank 0 ever publishes (the gathers deliver there);
+// other ranks' endpoints stay 503.
+type liveView struct {
+	path string // endpoint, e.g. "/cluster"
+	what string // the view's name in messages, e.g. "cluster dump"
+	v    atomic.Pointer[clusterView]
+}
+
+// Store makes v the view the endpoints serve.
+func (l *liveView) Store(v clusterView) { l.v.Store(&v) }
+
 var (
-	liveCluster atomic.Pointer[telemetry.ClusterDump]
-	liveRestore atomic.Pointer[telemetry.ClusterRestore]
-	liveStore   atomic.Pointer[telemetry.ClusterStore]
+	liveCluster = &liveView{path: "/cluster", what: "cluster dump"}
+	liveRestore = &liveView{path: "/restore", what: "cluster restore"}
+	liveStore   = &liveView{path: "/store", what: "cluster store stats"}
 )
 
 // registerClusterHandlers wires the cluster telemetry endpoints onto the
-// default mux (served by the -pprof debug address): /cluster and
-// /restore return the latest ClusterDump / ClusterRestore as JSON,
-// /cluster/metrics and /restore/metrics as Prometheus expositions of
-// the dedupcr_cluster_* and dedupcr_cluster_restore_* families.
+// default mux (served by the -pprof debug address): /cluster, /restore
+// and /store return the latest ClusterDump / ClusterRestore /
+// ClusterStore as JSON, and their /metrics siblings as Prometheus
+// expositions of the dedupcr_cluster_* families.
 func registerClusterHandlers() {
-	http.HandleFunc("/cluster", func(w http.ResponseWriter, r *http.Request) {
-		cd := liveCluster.Load()
-		if cd == nil {
-			http.Error(w, "no cluster dump gathered yet (rank 0 only)", http.StatusServiceUnavailable)
-			return
+	for _, l := range []*liveView{liveCluster, liveRestore, liveStore} {
+		serve := func(contentType string, write func(clusterView, io.Writer)) http.HandlerFunc {
+			return func(w http.ResponseWriter, r *http.Request) {
+				v := l.v.Load()
+				if v == nil {
+					http.Error(w, "no "+l.what+" gathered yet (rank 0 only)", http.StatusServiceUnavailable)
+					return
+				}
+				w.Header().Set("Content-Type", contentType)
+				write(*v, w)
+			}
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(cd)
-	})
-	http.HandleFunc("/cluster/metrics", func(w http.ResponseWriter, r *http.Request) {
-		cd := liveCluster.Load()
-		if cd == nil {
-			http.Error(w, "no cluster dump gathered yet (rank 0 only)", http.StatusServiceUnavailable)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		cd.WritePrometheus(w)
-	})
-	http.HandleFunc("/restore", func(w http.ResponseWriter, r *http.Request) {
-		cr := liveRestore.Load()
-		if cr == nil {
-			http.Error(w, "no cluster restore gathered yet (rank 0 only)", http.StatusServiceUnavailable)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(cr)
-	})
-	http.HandleFunc("/restore/metrics", func(w http.ResponseWriter, r *http.Request) {
-		cr := liveRestore.Load()
-		if cr == nil {
-			http.Error(w, "no cluster restore gathered yet (rank 0 only)", http.StatusServiceUnavailable)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		cr.WritePrometheus(w)
-	})
-	http.HandleFunc("/store", func(w http.ResponseWriter, r *http.Request) {
-		cs := liveStore.Load()
-		if cs == nil {
-			http.Error(w, "no cluster store stats gathered yet (rank 0 only)", http.StatusServiceUnavailable)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(cs)
-	})
-	http.HandleFunc("/store/metrics", func(w http.ResponseWriter, r *http.Request) {
-		cs := liveStore.Load()
-		if cs == nil {
-			http.Error(w, "no cluster store stats gathered yet (rank 0 only)", http.StatusServiceUnavailable)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		cs.WritePrometheus(w)
-	})
+		http.HandleFunc(l.path, serve("application/json", func(v clusterView, w io.Writer) {
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			enc.Encode(v)
+		}))
+		http.HandleFunc(l.path+"/metrics", serve("text/plain; version=0.0.4", clusterView.WritePrometheus))
+	}
+}
+
+// publish makes rank 0's gathered view live on its endpoints; with print
+// it also renders the view to stderr, and with a non-empty file it
+// writes the view's JSON there. ranks is the view's group size.
+func (l *liveView) publish(v clusterView, ranks int, print bool, file string) error {
+	l.Store(v)
+	if print {
+		fmt.Fprintln(os.Stderr)
+		v.WriteText(os.Stderr)
+		v.WritePrometheus(os.Stderr)
+	}
+	if file == "" {
+		return nil
+	}
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err == nil {
+		err = os.WriteFile(file, data, 0o644)
+	}
+	if err != nil {
+		return fmt.Errorf("write %s: %w", l.what, err)
+	}
+	fmt.Printf("rank 0: wrote %s of %d ranks to %s\n", l.what, ranks, file)
+	return nil
 }
 
 // registerFlightHandlers wires the flight-recorder endpoints onto the
@@ -168,12 +168,12 @@ func run() error {
 	rank := flag.Int("rank", -1, "this process's rank")
 	hosts := flag.String("hosts", "", "host file: one host:port per line, line i = rank i")
 	storeDir := flag.String("store", "", "local store directory (default: in-memory)")
-	engine := flag.String("engine", "auto", "store engine: auto | mem | disk | seg (auto = seg when -store is set, mem otherwise; disk is the flat one-file-per-chunk engine)")
+	engine := flag.String("engine", "auto", "store engine: auto | mem | seg (auto = seg when -store is set, mem otherwise)")
 	k := flag.Int("k", 3, "replication factor")
 	approach := flag.String("approach", "coll", "no | local | coll")
 	name := flag.String("name", "ckpt", "dataset name")
-	chunkSize := flag.Int("chunk", 4096, "chunk size in bytes (target average for cdc/gear; all ranks must agree)")
-	chunker := flag.String("chunker", "fixed", "chunking algorithm: fixed, cdc or gear (all ranks must agree)")
+	chunkSize := flag.Int("chunk", 4096, "chunk size in bytes (target average for gear; all ranks must agree)")
+	chunker := flag.String("chunker", "fixed", "chunking algorithm: fixed or gear (all ranks must agree)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof plus the /cluster and /restore telemetry endpoints (JSON and /metrics) on this address (e.g. localhost:6060)")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON of this rank's run to this file")
 	wireTrace := flag.Bool("wire-trace", false, "with -trace: stamp outgoing frames with trace context and draw causal send->recv flow arrows (all ranks must agree)")
@@ -250,14 +250,6 @@ func run() error {
 	switch eng {
 	case "mem":
 		store = storage.NewMem()
-	case "disk":
-		if *storeDir == "" {
-			return fmt.Errorf("-engine disk needs -store DIR")
-		}
-		store, err = storage.NewDisk(*storeDir)
-		if err != nil {
-			return err
-		}
 	case "seg":
 		if *storeDir == "" {
 			return fmt.Errorf("-engine seg needs -store DIR")
@@ -271,7 +263,7 @@ func run() error {
 		defer seg.Close()
 		store = seg
 	default:
-		return fmt.Errorf("unknown engine %q (want auto, mem, disk or seg)", *engine)
+		return fmt.Errorf("unknown engine %q (want auto, mem or seg)", *engine)
 	}
 	// With -stats, every store operation's latency is histogrammed so the
 	// exit dump can report device-side quantiles next to the phase times.
@@ -500,21 +492,8 @@ func doDump(ctx context.Context, comm collectives.Comm, store storage.Store, opt
 		return err
 	}
 	if cd != nil {
-		liveCluster.Store(cd)
-		if out.stats {
-			fmt.Fprintln(os.Stderr)
-			cd.WriteText(os.Stderr)
-			cd.WritePrometheus(os.Stderr)
-		}
-		if out.clusterOut != "" {
-			data, err := json.MarshalIndent(cd, "", "  ")
-			if err == nil {
-				err = os.WriteFile(out.clusterOut, data, 0o644)
-			}
-			if err != nil {
-				return fmt.Errorf("write cluster dump: %w", err)
-			}
-			fmt.Printf("rank 0: wrote cluster dump of %d ranks to %s\n", cd.Ranks, out.clusterOut)
+		if err := liveCluster.publish(cd, cd.Ranks, out.stats, out.clusterOut); err != nil {
+			return err
 		}
 	}
 
@@ -529,12 +508,7 @@ func doDump(ctx context.Context, comm collectives.Comm, store storage.Store, opt
 		return err
 	}
 	if cs != nil {
-		liveStore.Store(cs)
-		if out.stats && cs.Total.Segments > 0 {
-			fmt.Fprintln(os.Stderr)
-			cs.WriteText(os.Stderr)
-			cs.WritePrometheus(os.Stderr)
-		}
+		return liveStore.publish(cs, cs.Ranks, out.stats && cs.Total.Segments > 0, "")
 	}
 	return nil
 }
@@ -572,21 +546,8 @@ func doRestore(ctx context.Context, comm collectives.Comm, store storage.Store, 
 		return err
 	}
 	if cr != nil {
-		liveRestore.Store(cr)
-		if out.stats {
-			fmt.Fprintln(os.Stderr)
-			cr.WriteText(os.Stderr)
-			cr.WritePrometheus(os.Stderr)
-		}
-		if out.clusterOut != "" {
-			data, err := json.MarshalIndent(cr, "", "  ")
-			if err == nil {
-				err = os.WriteFile(out.clusterOut, data, 0o644)
-			}
-			if err != nil {
-				return fmt.Errorf("write cluster restore: %w", err)
-			}
-			fmt.Printf("rank 0: wrote cluster restore of %d ranks to %s\n", cr.Ranks, out.clusterOut)
+		if err := liveRestore.publish(cr, cr.Ranks, out.stats, out.clusterOut); err != nil {
+			return err
 		}
 	}
 	if *outFile != "" {

@@ -68,10 +68,6 @@ type (
 // NewMemStore returns an in-memory node-local store.
 func NewMemStore() Store { return storage.NewMem() }
 
-// NewDiskStore opens a disk-backed node-local store rooted at dir (the
-// flat one-file-per-chunk engine).
-func NewDiskStore(dir string) (Store, error) { return storage.NewDisk(dir) }
-
 // NewSegStore opens the log-structured segment store rooted at dir:
 // chunks append into segments, checkpoints become durable atomically at
 // commit points, and a background compactor reclaims released space.
@@ -97,8 +93,9 @@ type (
 	// the window-put exchange (Options.Retry).
 	RetryPolicy = core.RetryPolicy
 	// ChunkerSpec selects the chunking algorithm and size
-	// (Options.Chunker): fixed-size, Rabin CDC, or gear-hash CDC with
-	// its arch-selected fast path. The zero value is fixed/4 KiB.
+	// (Options.Chunker): fixed-size, or gear-hash content-defined
+	// chunking with its arch-selected fast path. The zero value is
+	// fixed/4 KiB.
 	ChunkerSpec = chunk.Spec
 	// ChunkerAlgo names a chunking algorithm (ChunkerSpec.Algo).
 	ChunkerAlgo = chunk.Algo
@@ -109,16 +106,12 @@ const (
 	// ChunkerFixed is fixed-size chunking, the paper's page model (the
 	// zero value, so the default for Options that never set a chunker).
 	ChunkerFixed = chunk.AlgoFixed
-	// ChunkerCDC is the rolling Rabin-style content-defined chunker.
-	ChunkerCDC = chunk.AlgoRabin
-	// ChunkerGear is the gear-hash content-defined chunker: boundary-
-	// compatible bounds discipline with ChunkerCDC at a fraction of the
-	// per-byte cost (one table lookup + shift-add, unrolled fast path on
-	// amd64/arm64).
+	// ChunkerGear is the gear-hash content-defined chunker: one table
+	// lookup + shift-add per byte, unrolled fast path on amd64/arm64.
 	ChunkerGear = chunk.AlgoGear
 )
 
-// ParseChunker parses a CLI chunker name: fixed | cdc | gear.
+// ParseChunker parses a CLI chunker name: fixed | gear.
 func ParseChunker(s string) (ChunkerAlgo, error) { return chunk.ParseAlgo(s) }
 
 // Failure model: typed errors, collective abort, fault injection.

@@ -34,14 +34,12 @@ var (
 	_ func(*dedupcr.Runtime, context.Context) (int, error)             = (*dedupcr.Runtime).RestartCtx
 
 	// Chunker-spec API: Options selects chunking through a first-class
-	// spec (algo + size); the three algorithm constants and the CLI
-	// parser are part of the locked surface. The deprecated
-	// Options.ContentDefined bool must also keep compiling until its
-	// removal is a conscious break.
+	// spec (algo + size); the algorithm constants and the CLI parser are
+	// part of the locked surface.
 	_ dedupcr.ChunkerSpec                       = dedupcr.ChunkerSpec{Algo: dedupcr.ChunkerGear, Size: 4096}
-	_ []dedupcr.ChunkerAlgo                     = []dedupcr.ChunkerAlgo{dedupcr.ChunkerFixed, dedupcr.ChunkerCDC, dedupcr.ChunkerGear}
+	_ []dedupcr.ChunkerAlgo                     = []dedupcr.ChunkerAlgo{dedupcr.ChunkerFixed, dedupcr.ChunkerGear}
 	_ func(string) (dedupcr.ChunkerAlgo, error) = dedupcr.ParseChunker
-	_ dedupcr.Options                           = dedupcr.Options{Chunker: dedupcr.ChunkerSpec{Algo: dedupcr.ChunkerCDC}, ContentDefined: false}
+	_ dedupcr.Options                           = dedupcr.Options{Chunker: dedupcr.ChunkerSpec{Algo: dedupcr.ChunkerGear}}
 )
 
 // TestCollectiveErrorTaxonomy pins the errors.Is/As contract of the
@@ -144,12 +142,11 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 
 // TestPublicAPIChunkerSpec dumps and restores through every chunking
 // algorithm the spec API can name, exactly as a downstream user would,
-// and pins the deprecated-alias contract: ContentDefined still selects
-// CDC chunking, and combining it with a non-fixed Chunker is an error,
-// not a silent preference.
+// and pins that conflicting chunk sizes are an error, not a silent
+// preference.
 func TestPublicAPIChunkerSpec(t *testing.T) {
 	const n, k = 4, 2
-	for _, algo := range []dedupcr.ChunkerAlgo{dedupcr.ChunkerFixed, dedupcr.ChunkerCDC, dedupcr.ChunkerGear} {
+	for _, algo := range []dedupcr.ChunkerAlgo{dedupcr.ChunkerFixed, dedupcr.ChunkerGear} {
 		cluster := dedupcr.NewCluster(n)
 		err := dedupcr.Run(n, func(c dedupcr.Comm) error {
 			buf := bytes.Repeat([]byte(fmt.Sprintf("rank%d chunker %s ", c.Rank()%2, algo)), 2048)
@@ -174,27 +171,17 @@ func TestPublicAPIChunkerSpec(t *testing.T) {
 		}
 	}
 
-	// Deprecated alias still works...
+	// The spec size and the ChunkSize knob conflict loudly.
 	cluster := dedupcr.NewCluster(1)
 	err := dedupcr.Run(1, func(c dedupcr.Comm) error {
-		_, err := dedupcr.DumpOutput(c, cluster.Node(0), bytes.Repeat([]byte("x"), 8192), dedupcr.Options{
-			K: 1, Name: "legacy", ContentDefined: true, ChunkSize: 256,
-		})
-		return err
-	})
-	if err != nil {
-		t.Fatalf("deprecated ContentDefined alias broke: %v", err)
-	}
-	// ...and conflicts loudly with the spec.
-	err = dedupcr.Run(1, func(c dedupcr.Comm) error {
 		_, err := dedupcr.DumpOutput(c, cluster.Node(0), make([]byte, 4096), dedupcr.Options{
-			K: 1, ContentDefined: true,
-			Chunker: dedupcr.ChunkerSpec{Algo: dedupcr.ChunkerGear},
+			K: 1, ChunkSize: 512,
+			Chunker: dedupcr.ChunkerSpec{Algo: dedupcr.ChunkerGear, Size: 256},
 		})
 		return err
 	})
 	if err == nil || !strings.Contains(err.Error(), "conflicts") {
-		t.Fatalf("ContentDefined+Chunker conflict not rejected: %v", err)
+		t.Fatalf("ChunkSize+Chunker.Size conflict not rejected: %v", err)
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 // realCodecs maps each production package to the codec families wiresym
 // must prove symmetric in it.
 var realCodecs = map[string][]string{
-	"dedupcr/internal/telemetry":   {"dump", "restore", "storestats"},
 	"dedupcr/internal/storage":     {"segindex", "manifest"},
 	"dedupcr/internal/collectives": {"abortmsg", "tracecontext"},
 	"dedupcr/internal/chunk":       {"recipebinary"},

@@ -35,31 +35,6 @@ func BenchmarkFixedSplit256(b *testing.B) {
 	}
 }
 
-// BenchmarkContentDefinedSplit measures the Rabin-style chunker, the
-// related-work alternative (slower per byte, shift resistant).
-func BenchmarkContentDefinedSplit(b *testing.B) {
-	buf := benchBuf(1 << 22)
-	c := NewContentDefined(4096)
-	b.SetBytes(int64(len(buf)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Split(buf)
-	}
-}
-
-// BenchmarkContentDefinedCuts isolates the Rabin boundary scan (no
-// fingerprinting) — the number the gear chunker's scan is measured
-// against.
-func BenchmarkContentDefinedCuts(b *testing.B) {
-	buf := benchBuf(1 << 22)
-	c := NewContentDefined(4096)
-	b.SetBytes(int64(len(buf)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Cuts(buf)
-	}
-}
-
 // BenchmarkRecipeAssemble measures dataset reconstruction from a chunk
 // index — the restore hot path.
 func BenchmarkRecipeAssemble(b *testing.B) {

@@ -3,9 +3,9 @@
 // reassembled byte-exactly.
 //
 // The paper matches chunks with memory pages, so the default chunker is
-// fixed-size with a 4 KiB chunk (the system page size). A content-defined
-// (Rabin) chunker is provided as the related-work alternative and for
-// ablation experiments.
+// fixed-size with a 4 KiB chunk (the system page size). The gear-hash
+// content-defined chunker (internal/chunk/gear) is the related-work
+// alternative for shifted data and the chunking ablation.
 package chunk
 
 import (
@@ -34,7 +34,7 @@ type Chunker interface {
 // CutChunker is a Chunker whose boundary scan is separable from
 // fingerprinting, letting instrumented callers time the two phases
 // independently (the paper's evaluation attributes them separately).
-// Both chunkers in this package implement it.
+// Every registered chunker implements it.
 type CutChunker interface {
 	Chunker
 	// Cuts returns the end offset of every chunk of buf, ascending, the

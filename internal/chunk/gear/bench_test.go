@@ -8,8 +8,7 @@ import (
 
 // BenchmarkGearCuts measures the selected boundary scan (unrolled on
 // amd64/arm64, generic under purego) — compare against
-// BenchmarkGenericCuts and internal/chunk's BenchmarkContentDefinedSplit
-// to see the fast path's margin.
+// BenchmarkGenericCuts to see the fast path's margin.
 func BenchmarkGearCuts(b *testing.B) {
 	buf := testBuf(1, 1<<22)
 	c := New(4096)

@@ -2,8 +2,8 @@
 // CDC variant of the dedup literature ("Accelerating Data Chunking in
 // Deduplication Systems using Vector Instructions"; Ddelta/FastCDC).
 //
-// Unlike the Rabin-style chunker in internal/chunk, the gear hash keeps
-// no explicit sliding window: each step is one shift-add plus a single
+// Unlike a Rabin-style rolling hash, the gear hash keeps no explicit
+// sliding window: each step is one shift-add plus a single
 // 256-entry table lookup,
 //
 //	h = h<<1 + table[b]
@@ -14,7 +14,7 @@
 // ≥64 is exactly 0 mod 2^64). That gives the two properties the hot path
 // wants:
 //
-//   - half the per-byte work of the Rabin loop (no second lookup, no
+//   - half the per-byte work of a Rabin loop (no second lookup, no
 //     outgoing-byte subtraction), in a dependency chain short enough for
 //     wide out-of-order cores to sustain ~1 byte/cycle;
 //   - skip-scanning: the hash at any position depends only on the last
@@ -24,10 +24,9 @@
 // The cut condition tests the accumulator's HIGH bits (h & mask == 0
 // with mask occupying the top log2(avg) bits): high bits mix the full
 // 64-byte window, while low bits would depend on only the last few
-// bytes. Min/Avg/Max bounds follow the same normalized discipline as
-// chunk.ContentDefined: Avg rounds up to a power of two, Min = Avg/4
-// (clamped to the 64-byte window), Max = Avg*4, all derived from the
-// rounded value.
+// bytes. Min/Avg/Max bounds follow a normalized discipline: Avg rounds
+// up to a power of two, Min = Avg/4 (clamped to the 64-byte window),
+// Max = Avg*4, all derived from the rounded value.
 //
 // Two boundary-identical implementations exist: a plain reference loop
 // (cutGeneric) and an 8-way unrolled scan (cutUnrolled) that the
@@ -54,8 +53,7 @@ const Window = 64
 // because chunk boundaries are collective decision state.
 var table [256]uint64
 
-// initTable fills the gear table deterministically. The seed differs
-// from the Rabin chunker's so the two algorithms cut independently.
+// initTable fills the gear table deterministically.
 func initTable() {
 	x := uint64(0xA5A3_5730_0596_9F8B)
 	for i := range table {

@@ -7,7 +7,7 @@ import (
 )
 
 // randBuf builds a deterministic pseudo-random buffer with some repeated
-// regions so both chunkers see duplicate content.
+// regions so fixed-size cuts see duplicate content.
 func randBuf(seed int64, n int) []byte {
 	buf := make([]byte, n)
 	rand.New(rand.NewSource(seed)).Read(buf)
@@ -18,14 +18,30 @@ func randBuf(seed int64, n int) []byte {
 	return buf
 }
 
+// variableCuts returns ascending cut offsets covering n bytes with
+// pseudo-random chunk sizes in [1, 1024], the shape content-defined
+// chunkers produce.
+func variableCuts(seed int64, n int) []int {
+	rng := rand.New(rand.NewSource(seed))
+	var cuts []int
+	for end := 0; end < n; {
+		end += 1 + rng.Intn(1024)
+		if end > n {
+			end = n
+		}
+		cuts = append(cuts, end)
+	}
+	return cuts
+}
+
 // TestFromCutsParallelMatchesSerial verifies the tentpole determinism
-// guarantee: for both chunkers and any worker count, the parallel hash
-// produces exactly the chunks FromCuts produces, in the same order.
+// guarantee: for fixed and variable-size cuts and any worker count, the
+// parallel hash produces exactly the chunks FromCuts produces, in the
+// same order.
 func TestFromCutsParallelMatchesSerial(t *testing.T) {
 	for _, size := range []int{0, 1, 100, 4096, 1 << 16, 1<<17 + 333} {
 		buf := randBuf(int64(size)+7, size)
-		for _, chunker := range []CutChunker{NewFixed(256), NewContentDefined(256)} {
-			cuts := chunker.Cuts(buf)
+		for _, cuts := range [][]int{NewFixed(256).Cuts(buf), variableCuts(int64(size), len(buf))} {
 			want := FromCuts(buf, cuts)
 			for _, workers := range []int{0, 1, 2, 3, 8, 64} {
 				got := FromCutsParallel(buf, cuts, workers)

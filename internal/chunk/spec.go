@@ -10,13 +10,11 @@ type Algo uint8
 const (
 	// AlgoFixed is fixed-size chunking (the paper's memory-page model).
 	AlgoFixed Algo = iota
-	// AlgoRabin is the rolling Rabin-style content-defined chunker — the
-	// related-work alternative, shift-resistant but slower per byte.
-	AlgoRabin
 	// AlgoGear is the gear-hash content-defined chunker: one table lookup
 	// and one shift-add per byte, with an arch-selected unrolled fast path
-	// (see internal/chunk/gear). Shift-resistant like AlgoRabin and
-	// several times faster per core.
+	// (see internal/chunk/gear). Unlike fixed-size chunking it is shift
+	// resistant: an insertion moves only the boundaries next to it. No
+	// persisted format carries an Algo, so the values may be renumbered.
 	AlgoGear
 
 	// numAlgos bounds the registry; new algorithms extend it.
@@ -24,13 +22,11 @@ const (
 )
 
 // String returns the canonical CLI spelling: the same names the
-// `-chunker fixed|cdc|gear` flags accept.
+// `-chunker fixed|gear` flags accept.
 func (a Algo) String() string {
 	switch a {
 	case AlgoFixed:
 		return "fixed"
-	case AlgoRabin:
-		return "cdc"
 	case AlgoGear:
 		return "gear"
 	default:
@@ -38,18 +34,15 @@ func (a Algo) String() string {
 	}
 }
 
-// ParseAlgo parses a CLI chunker name. "rabin" is accepted as a synonym
-// of "cdc" (they name the same algorithm).
+// ParseAlgo parses a CLI chunker name.
 func ParseAlgo(s string) (Algo, error) {
 	switch s {
 	case "fixed", "":
 		return AlgoFixed, nil
-	case "cdc", "rabin":
-		return AlgoRabin, nil
 	case "gear":
 		return AlgoGear, nil
 	default:
-		return 0, fmt.Errorf("chunk: unknown chunker %q (want fixed, cdc or gear)", s)
+		return 0, fmt.Errorf("chunk: unknown chunker %q (want fixed or gear)", s)
 	}
 }
 
@@ -80,8 +73,8 @@ func (s Spec) normalized() Spec {
 }
 
 // minCDCSize is the smallest expected chunk size the content-defined
-// algorithms accept: below it the min bound (size/4, clamped to the
-// rolling window) collides with the max bound and the cut discipline
+// chunker accepts: below it the min bound (size/4, clamped to the
+// hash window) collides with the max bound and the cut discipline
 // degenerates.
 const minCDCSize = 64
 
@@ -91,7 +84,7 @@ func (s Spec) Validate() error {
 	switch s.Algo {
 	case AlgoFixed:
 		// Any positive size chunks correctly.
-	case AlgoRabin, AlgoGear:
+	case AlgoGear:
 		if s.Size < minCDCSize {
 			return fmt.Errorf("chunk: %s chunker needs Size >= %d, got %d", s.Algo, minCDCSize, s.Size)
 		}
@@ -104,8 +97,8 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// registry maps each algorithm to its constructor. Fixed and Rabin live
-// in this package and register below; out-of-package algorithms (gear)
+// registry maps each algorithm to its constructor. Fixed lives in this
+// package and registers below; out-of-package algorithms (gear)
 // register themselves from their own init, so callers that can name them
 // via a Spec have necessarily linked their implementation in.
 var registry [numAlgos]func(size int) CutChunker
@@ -136,5 +129,4 @@ func New(s Spec) (CutChunker, error) {
 
 func init() {
 	Register(AlgoFixed, func(size int) CutChunker { return NewFixed(size) })
-	Register(AlgoRabin, func(size int) CutChunker { return NewContentDefined(size) })
 }

@@ -153,9 +153,9 @@ func dumpOutput(c collectives.Comm, store storage.Store, buf []byte, o Options, 
 	defer dumpSpan.End()
 
 	// Phase 1 — chunking and fingerprinting (every byte is hashed once).
-	// Every registered chunker (fixed, Rabin CDC, gear) exposes its
-	// boundary scan separately from hashing (chunk.CutChunker), so the two
-	// costs are attributed to their own phases regardless of which spec
+	// Every registered chunker (fixed, gear) exposes its boundary scan
+	// separately from hashing (chunk.CutChunker), so the two costs are
+	// attributed to their own phases regardless of which spec
 	// Options.Chunker selected. Hashing runs in cache-friendly batches
 	// (fingerprint.BatchOf). With Parallelism > 1 it fans out over a bounded
 	// worker pool and phase 2 (plus the reduction's leaf-table build, for

@@ -428,9 +428,10 @@ func TestDumpUnevenBufferSizes(t *testing.T) {
 }
 
 func TestDumpContentDefinedChunking(t *testing.T) {
-	// The CDC alternative must round-trip and still deduplicate the
-	// shared content (cut points are content-derived, so shared regions
-	// produce identical chunks regardless of their offset per rank).
+	// The gear content-defined alternative must round-trip and still
+	// deduplicate the shared content (cut points are content-derived, so
+	// shared regions produce identical chunks regardless of their offset
+	// per rank).
 	const n, k = 6, 3
 	cluster := storage.NewCluster(n)
 	buffers := make([][]byte, n)
@@ -442,8 +443,8 @@ func TestDumpContentDefinedChunking(t *testing.T) {
 		// at all; CDC must.
 		prefix := bytes.Repeat([]byte{byte(c.Rank())}, 37*(c.Rank()+1))
 		buf := append(prefix, testBuffer(0, 12, 0, 0, 0)...)
-		o := Options{K: k, Approach: CollDedup, ChunkSize: 128,
-			ContentDefined: true, Name: "cdc"}
+		o := Options{K: k, Approach: CollDedup,
+			Chunker: chunk.Spec{Algo: chunk.AlgoGear, Size: 128}, Name: "cdc"}
 		res, err := DumpOutput(c, cluster.Node(c.Rank()), buf, o)
 		if err != nil {
 			return err

@@ -207,6 +207,46 @@ func TestRestoreKillPerPhase(t *testing.T) {
 	}
 }
 
+// failingBlobs is a store whose PutBlob fails with errPutBlob, the shape
+// of a node-local device error during the restore's commit phase.
+type failingBlobs struct{ storage.Store }
+
+var errPutBlob = errors.New("injected PutBlob failure")
+
+func (failingBlobs) PutBlob(string, []byte) error { return errPutBlob }
+
+// TestRestoreStoreFailureAbortsGroup checks that the context-less
+// Restore aborts the group when one rank fails locally: rank 2's store
+// rejects PutBlob in restore-commit, so rank 2 returns before the
+// completion barrier, and every other rank must unblock with a typed
+// CollectiveError naming rank 2 instead of waiting in restore-barrier.
+func TestRestoreStoreFailureAbortsGroup(t *testing.T) {
+	const n, victim = 4, 2
+	cluster := storage.NewCluster(n)
+	cleanDump(t, n, cluster, "ckpt-0")
+	errs := runRanks(t, n, 5*time.Second, func(c collectives.Comm) error {
+		var store storage.Store = cluster.Node(c.Rank())
+		if c.Rank() == victim {
+			store = failingBlobs{store}
+		}
+		_, err := Restore(c, store, "ckpt-0")
+		return err
+	})
+	for r := 0; r < n; r++ {
+		var ce *collectives.CollectiveError
+		if !errors.As(errs[r], &ce) {
+			t.Fatalf("rank %d returned %v, want a *CollectiveError", r, errs[r])
+		}
+		if ranks := collectives.FailedRanks(errs[r]); len(ranks) != 1 || ranks[0] != victim {
+			t.Errorf("rank %d blames ranks %v, want [%d]", r, ranks, victim)
+		}
+	}
+	var ce *collectives.CollectiveError
+	if errors.As(errs[victim], &ce); ce.Phase != "restore-commit" || !errors.Is(errs[victim], errPutBlob) {
+		t.Errorf("victim reports phase %q, cause %v; want restore-commit and the PutBlob failure", ce.Phase, errs[victim])
+	}
+}
+
 // TestDumpKillThenNodeLossRestore combines both failure planes: an
 // aborted dump (communication fault) followed by losing the victim's
 // store (node fault). K=2 keeps the surviving checkpoint restorable and

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"dedupcr/internal/chunk"
 	"dedupcr/internal/collectives"
 	"dedupcr/internal/storage"
 )
@@ -217,12 +218,12 @@ func TestParallelismDefault(t *testing.T) {
 	}
 }
 
-// TestParallelDumpContentDefined covers the CDC chunker under the
-// parallel pipeline: boundaries come from the serial scan, hashing is
-// parallel, and the restore must still round-trip.
+// TestParallelDumpContentDefined covers the gear content-defined chunker
+// under the parallel pipeline: boundaries come from the serial scan,
+// hashing is parallel, and the restore must still round-trip.
 func TestParallelDumpContentDefined(t *testing.T) {
 	const n = 4
-	o := Options{K: 2, Approach: CollDedup, ChunkSize: testPage, ContentDefined: true,
+	o := Options{K: 2, Approach: CollDedup, Chunker: chunk.Spec{Algo: chunk.AlgoGear, Size: testPage},
 		Name: "cdc-par", F: 1 << 10, Parallelism: 4}
 	run := runDumpWithStats(t, n, o)
 	restored := make([][]byte, n)

@@ -33,42 +33,35 @@ type RestoreResult struct {
 // so a restore also re-provisions a replaced node.
 //
 // Restore succeeds as long as at most K-1 nodes were lost, the guarantee
-// the replication factor buys.
+// the replication factor buys. It is equivalent to RestoreCtx with a
+// background context.
+//
+//dedupvet:compat context-less convenience wrapper over RestoreCtx
 func Restore(c collectives.Comm, store storage.Store, name string) ([]byte, error) {
-	return RestoreWithTrace(c, store, name, nil)
+	return RestoreCtx(context.Background(), c, store, name)
 }
 
 // RestoreCtx is Restore under a context: cancelling ctx aborts the
 // collective restore on this rank and disseminates the abort, unblocking
 // every rank (the fetch service and completion barrier otherwise wait for
-// the whole group). Like DumpOutputCtx, any mid-restore failure aborts
-// the group and surfaces on every survivor as a *collectives.CollectiveError;
-// the restore only reads and re-provisions, so no rollback is needed.
+// the whole group).
 func RestoreCtx(ctx context.Context, c collectives.Comm, store storage.Store, name string) ([]byte, error) {
-	return RestoreCtxWithTrace(ctx, c, store, name, nil)
-}
-
-// RestoreCtxWithTrace is RestoreCtx with per-phase span recording.
-func RestoreCtxWithTrace(ctx context.Context, c collectives.Comm, store storage.Store, name string, rec *trace.Recorder) ([]byte, error) {
-	res, err := RestoreOutputCtx(ctx, c, store, name, rec)
+	res, err := RestoreOutputCtx(ctx, c, store, name, nil)
 	if err != nil {
 		return nil, err
 	}
 	return res.Data, nil
 }
 
-// RestoreWithTrace is Restore with per-phase span recording. A nil
-// recorder behaves exactly like Restore.
-func RestoreWithTrace(c collectives.Comm, store storage.Store, name string, rec *trace.Recorder) ([]byte, error) {
-	res, err := RestoreOutput(c, store, name, rec)
-	if err != nil {
-		return nil, err
-	}
-	return res.Data, nil
-}
-
-// RestoreOutputCtx is RestoreOutput under a context (see RestoreCtx for
-// the abort semantics).
+// RestoreOutputCtx is the fully instrumented collective restore: it
+// returns the reassembled buffer together with the rank's
+// metrics.Restore — per-phase wall times, read amplification,
+// fragmentation and locality statistics, per-peer fetch traffic and
+// read-latency histograms — and records one span per phase into rec
+// (nil disables tracing). Like DumpOutputCtx, any mid-restore failure
+// aborts the group and surfaces on every survivor as a
+// *collectives.CollectiveError; the restore only reads and
+// re-provisions, so no rollback is needed.
 func RestoreOutputCtx(ctx context.Context, c collectives.Comm, store storage.Store, name string, rec *trace.Recorder) (*RestoreResult, error) {
 	if ctx != nil && ctx.Err() != nil {
 		return nil, context.Cause(ctx)
@@ -81,22 +74,6 @@ func RestoreOutputCtx(ctx context.Context, c collectives.Comm, store storage.Sto
 	buf, err := restoreOutput(c, store, name, rec, ph, &m)
 	if err != nil {
 		return nil, failCollective(c, err, ph.Current())
-	}
-	return &RestoreResult{Data: buf, Metrics: m}, nil
-}
-
-// RestoreOutput is the fully instrumented collective restore: it returns
-// the reassembled buffer together with the rank's metrics.Restore —
-// per-phase wall times, read amplification, fragmentation and locality
-// statistics, per-peer fetch traffic and read-latency histograms. The
-// legacy Restore* entry points are thin wrappers discarding the metrics.
-func RestoreOutput(c collectives.Comm, store storage.Store, name string, rec *trace.Recorder) (*RestoreResult, error) {
-	var m metrics.Restore
-	ph := NewPhaseScope(c, rec, &m.Phases)
-	defer ph.Close()
-	buf, err := restoreOutput(c, store, name, rec, ph, &m)
-	if err != nil {
-		return nil, err
 	}
 	return &RestoreResult{Data: buf, Metrics: m}, nil
 }

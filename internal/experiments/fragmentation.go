@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"sync"
@@ -128,7 +129,10 @@ func runFragmentationScenario(cfg Config, n, k, d, chunksPerRank, chunkSize int)
 
 		// Restore in place: no failures, but coll-dedup already discarded
 		// chunks designated to other holders, so D > K forces fetches.
-		rres, err := core.RestoreOutput(c, cluster.Node(rank), "frag", rec)
+		// The experiment runner is the root of the call tree, so the
+		// background context originates here by design.
+		//dedupvet:compat
+		rres, err := core.RestoreOutputCtx(context.Background(), c, cluster.Node(rank), "frag", rec)
 		if err != nil {
 			return err
 		}

@@ -2,6 +2,7 @@ package hybrid
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"reflect"
 	"sync"
@@ -96,7 +97,7 @@ func TestPhaseSourcesAgree(t *testing.T) {
 			return res.Metrics.Phases.PhaseTimes, nil
 		}},
 		{"restore", metrics.RestorePipeline, func(c collectives.Comm, rec *trace.Recorder) (metrics.PhaseTimes, error) {
-			res, err := core.RestoreOutput(c, dumpCluster.Node(c.Rank()), "ck", rec)
+			res, err := core.RestoreOutputCtx(context.Background(), c, dumpCluster.Node(c.Rank()), "ck", rec)
 			if err != nil {
 				return metrics.PhaseTimes{}, err
 			}

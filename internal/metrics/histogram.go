@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"encoding/base64"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -232,6 +233,27 @@ func (h *Histogram) UnmarshalBinary(data []byte) error {
 		h.counts[i].Store(int64(binary.BigEndian.Uint64(data[12*j+4:])))
 	}
 	return nil
+}
+
+// MarshalText encodes the histogram as the base64 of its MarshalBinary
+// form, so records holding a *Histogram round-trip exactly through
+// encoding/json (the telemetry codec).
+func (h *Histogram) MarshalText() ([]byte, error) {
+	b, err := h.MarshalBinary()
+	if err != nil {
+		return nil, err
+	}
+	return base64.StdEncoding.AppendEncode(nil, b), nil
+}
+
+// UnmarshalText decodes a histogram encoded by MarshalText, as strictly
+// as UnmarshalBinary.
+func (h *Histogram) UnmarshalText(text []byte) error {
+	b, err := base64.StdEncoding.Strict().AppendDecode(nil, text)
+	if err != nil {
+		return fmt.Errorf("metrics: histogram text: %w", err)
+	}
+	return h.UnmarshalBinary(b)
 }
 
 // Merge folds other's samples into h. Max merges exactly; buckets add.

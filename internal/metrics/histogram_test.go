@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"bytes"
+	"encoding/base64"
 	"math"
 	"strings"
 	"sync"
@@ -23,6 +25,41 @@ func TestHistogramBucketRoundTrip(t *testing.T) {
 			}
 		}
 		prev = u
+	}
+}
+
+// TestHistogramTextRoundTrip pins the text form encoding/json uses for
+// histograms in telemetry records: it reproduces every bucket, count,
+// sum and max, and rejects text that is not strict base64 of a complete
+// binary encoding.
+func TestHistogramTextRoundTrip(t *testing.T) {
+	h := NewHistogram()
+	for _, v := range []int64{3, 900, 47_000, 2_000_000} {
+		h.Record(v)
+	}
+	text, err := h.MarshalText()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got Histogram
+	if err := got.UnmarshalText(text); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := h.MarshalBinary()
+	if gb, _ := got.MarshalBinary(); !bytes.Equal(gb, want) {
+		t.Fatal("histogram changed in text round trip")
+	}
+	enc := base64.StdEncoding.EncodeToString
+	for name, bad := range map[string]string{
+		"not base64":      "!!!!",
+		"missing padding": strings.TrimRight(string(text), "="),
+		"truncated":       enc(want[:len(want)-1]),
+		"trailing byte":   enc(append(append([]byte(nil), want...), 0)),
+		"empty":           "",
+	} {
+		if err := new(Histogram).UnmarshalText([]byte(bad)); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 

@@ -62,10 +62,10 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// fileBlobs is the named-blob side shared by the flat disk engine and
-// the segment engine: small metadata blobs (recipes, gc lists, restore
-// hints) as individual files under dir, each written atomically. Blob
-// names may contain '/' separators; they map to subdirectories.
+// fileBlobs is the named-blob side of the segment engine: small metadata
+// blobs (recipes, gc lists, restore hints) as individual files under dir,
+// each written atomically. Blob names may contain '/' separators; they
+// map to subdirectories.
 type fileBlobs struct {
 	dir   string
 	crash func(string) // crash-injection hook threaded into atomic writes

@@ -142,6 +142,12 @@ func NewSeg(dir string) (Store, error) { return NewSegStore(dir, SegConfig{}) }
 // discarded.
 func NewSegStore(dir string, cfg SegConfig) (*SegStore, error) {
 	cfg = cfg.withDefaults()
+	// The removed flat engine kept one file per chunk under chunks/ and
+	// shared blobs/ with this layout: opening such a directory would find
+	// the metadata but none of the chunks, so refuse it outright.
+	if fi, err := os.Stat(filepath.Join(dir, "chunks")); err == nil && fi.IsDir() {
+		return nil, fmt.Errorf("storage: %s holds a chunks/ directory of the removed flat one-file-per-chunk disk layout, which the segment engine cannot read; re-dump into a fresh directory", dir)
+	}
 	for _, sub := range []string{"segments", "blobs"} {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
 			return nil, fmt.Errorf("storage: create %s: %w", sub, err)

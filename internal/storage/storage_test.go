@@ -3,7 +3,9 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"dedupcr/internal/fingerprint"
@@ -13,15 +15,11 @@ import (
 // conformance tests below run against all engines.
 func stores(t *testing.T) map[string]Store {
 	t.Helper()
-	disk, err := NewDisk(filepath.Join(t.TempDir(), "node"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	seg, err := NewSeg(filepath.Join(t.TempDir(), "segnode"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]Store{"mem": NewMem(), "disk": disk, "seg": seg}
+	return map[string]Store{"mem": NewMem(), "seg": seg}
 }
 
 func TestPutGetChunk(t *testing.T) {
@@ -141,34 +139,30 @@ func TestFailSemantics(t *testing.T) {
 	}
 }
 
-func TestDiskStoreReopen(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "node")
-	s, err := NewDisk(dir)
-	if err != nil {
+// TestSegStoreRefusesFlatLayout checks the outside-input guard: a
+// directory left by the removed flat disk engine (chunks/ next to a
+// shared blobs/) must be refused with an error naming that layout, not
+// opened as an empty segment store whose restores fail later.
+func TestSegStoreRefusesFlatLayout(t *testing.T) {
+	dir := t.TempDir()
+	for _, sub := range []string{"chunks", "blobs"} {
+		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, "blobs", "meta"), []byte("m"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	data := []byte("persistent-chunk")
-	fp := fingerprint.Of(data)
-	if err := s.PutChunk(fp, data); err != nil {
-		t.Fatal(err)
+	s, err := NewSegStore(dir, SegConfig{})
+	if err == nil {
+		s.Close()
+		t.Fatal("flat-layout directory opened as a segment store")
 	}
-	if err := s.PutBlob("meta", []byte("m")); err != nil {
-		t.Fatal(err)
+	if !strings.Contains(err.Error(), "flat one-file-per-chunk") {
+		t.Errorf("error does not name the removed layout: %v", err)
 	}
-	// Re-open: content must be indexed again.
-	s2, err := NewDisk(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := s2.GetChunk(fp)
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("reopened store lost chunk: %v", err)
-	}
-	if blob, err := s2.GetBlob("meta"); err != nil || string(blob) != "m" {
-		t.Fatalf("reopened store lost blob: %v", err)
-	}
-	if b, n := s2.Usage(); n != 1 || b != int64(len(data)) {
-		t.Fatalf("reopened usage = %d/%d", b, n)
+	if _, err := os.Stat(filepath.Join(dir, "segments")); !os.IsNotExist(err) {
+		t.Errorf("refused directory was modified: segments/ stat = %v", err)
 	}
 }
 

@@ -10,13 +10,12 @@ import (
 
 // gather is the one in-band gather of a per-rank record: every rank
 // publishes the gather's own phase (so a failure here is not blamed on
-// the pipeline phase before it), encodes its record and sends it to rank
-// 0 over the group's own communicator — no out-of-band monitoring
-// channel, matching the paper's in-band measurement setup. Rank 0
-// decodes every slot and checks that slot r carries rank r; the other
-// ranks return nil.
-func gather[T any](c collectives.Comm, phase metrics.Phase, rec T,
-	encode func(T) ([]byte, error), decode func([]byte) (T, error), rank func(*T) int) ([]T, error) {
+// the pipeline phase before it), encodes its record with the telemetry
+// codec and sends it to rank 0 over the group's own communicator — no
+// out-of-band monitoring channel, matching the paper's in-band
+// measurement setup. Rank 0 decodes every slot and checks that slot r
+// carries rank r; the other ranks return nil.
+func gather[T record](c collectives.Comm, phase metrics.Phase, rec T, rank func(*T) int) ([]T, error) {
 	enc, err := encode(rec)
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: rank %d encode for %s: %w", c.Rank(), phase, err)
@@ -31,7 +30,7 @@ func gather[T any](c collectives.Comm, phase metrics.Phase, rec T,
 	}
 	out := make([]T, len(raw))
 	for r, b := range raw {
-		v, err := decode(b)
+		v, err := decode[T](b)
 		if err != nil {
 			return nil, fmt.Errorf("telemetry: %s: decode rank %d: %w", phase, r, err)
 		}
@@ -49,7 +48,7 @@ func gather[T any](c collectives.Comm, phase metrics.Phase, rec T,
 // receives a non-nil result. It runs after the dump's completion barrier
 // under its own phase, dump-telemetry.
 func GatherCluster(c collectives.Comm, d metrics.Dump, opts Options) (*ClusterDump, error) {
-	dumps, err := gather(c, metrics.DumpTelemetry, d, EncodeDump, DecodeDump,
+	dumps, err := gather(c, metrics.DumpTelemetry, d,
 		func(d *metrics.Dump) int { return d.Rank })
 	if dumps == nil {
 		return nil, err
@@ -72,7 +71,7 @@ func GatherCluster(c collectives.Comm, d metrics.Dump, opts Options) (*ClusterDu
 // and reduces them into a ClusterRestore. Collective like GatherCluster,
 // under the restore-telemetry phase.
 func GatherClusterRestore(c collectives.Comm, r metrics.Restore, opts Options) (*ClusterRestore, error) {
-	rs, err := gather(c, metrics.RestoreTelemetry, r, EncodeRestore, DecodeRestore,
+	rs, err := gather(c, metrics.RestoreTelemetry, r,
 		func(r *metrics.Restore) int { return r.Rank })
 	if rs == nil {
 		return nil, err
@@ -86,7 +85,7 @@ func GatherClusterRestore(c collectives.Comm, r metrics.Restore, opts Options) (
 // unconditionally — ranks on non-segment engines report the zero
 // snapshot — and only rank 0 receives a non-nil result.
 func GatherClusterStore(c collectives.Comm, s metrics.StoreStats) (*ClusterStore, error) {
-	stats, err := gather(c, metrics.StoreTelemetry, s, EncodeStoreStats, DecodeStoreStats,
+	stats, err := gather(c, metrics.StoreTelemetry, s,
 		func(s *metrics.StoreStats) int { return s.Rank })
 	if stats == nil {
 		return nil, err

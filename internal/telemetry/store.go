@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 
@@ -12,57 +11,6 @@ import (
 // local metrics.StoreStats after a dump (the zero value on non-segment
 // engines), rank 0 reduces them. In-band like the dump and restore
 // gathers — no out-of-band monitoring channel.
-
-// storeWireVersion tags the binary layout of an encoded
-// metrics.StoreStats so a mixed-version group fails loudly.
-const storeWireVersion = 1
-
-// storeWireInts is the number of int64 fields following the version
-// byte (rank plus the 15 gauge/counter fields, in struct order).
-const storeWireInts = 16
-
-// EncodeStoreStats serializes one rank's store snapshot for the in-band
-// gather: a version byte followed by a fixed block of big-endian int64s.
-func EncodeStoreStats(s metrics.StoreStats) ([]byte, error) {
-	buf := make([]byte, 0, 1+8*storeWireInts)
-	buf = append(buf, storeWireVersion)
-	for _, v := range []int64{
-		int64(s.Rank),
-		s.Segments, s.SealedSegments, s.LiveChunks, s.LiveBytes,
-		s.DataBytes, s.GarbageBytes, s.Gen,
-		s.Seals, s.Commits, s.Compactions, s.SegmentsCompacted,
-		s.TombstonedBytes, s.ReclaimedBytes, s.CopiedBytes, s.CopiedChunks,
-	} {
-		buf = binary.BigEndian.AppendUint64(buf, uint64(v))
-	}
-	return buf, nil
-}
-
-// DecodeStoreStats reverses EncodeStoreStats. Strict: the version must
-// match and the encoding must be exactly the fixed block, no trailer.
-func DecodeStoreStats(data []byte) (metrics.StoreStats, error) {
-	var s metrics.StoreStats
-	if len(data) == 0 {
-		return s, fmt.Errorf("telemetry: empty store encoding")
-	}
-	if data[0] != storeWireVersion {
-		return s, fmt.Errorf("telemetry: store wire version %d, want %d", data[0], storeWireVersion)
-	}
-	data = data[1:]
-	if len(data) != 8*storeWireInts {
-		return s, fmt.Errorf("telemetry: store encoding has %d payload bytes, want %d", len(data), 8*storeWireInts)
-	}
-	ints := make([]int64, storeWireInts)
-	for i := range ints {
-		ints[i] = int64(binary.BigEndian.Uint64(data[8*i:]))
-	}
-	s.Rank = int(ints[0])
-	s.Segments, s.SealedSegments, s.LiveChunks, s.LiveBytes = ints[1], ints[2], ints[3], ints[4]
-	s.DataBytes, s.GarbageBytes, s.Gen = ints[5], ints[6], ints[7]
-	s.Seals, s.Commits, s.Compactions, s.SegmentsCompacted = ints[8], ints[9], ints[10], ints[11]
-	s.TombstonedBytes, s.ReclaimedBytes, s.CopiedBytes, s.CopiedChunks = ints[12], ints[13], ints[14], ints[15]
-	return s, nil
-}
 
 // ClusterStore is rank 0's reduced view of every rank's local store —
 // the storage-plane sibling of ClusterDump and ClusterRestore.

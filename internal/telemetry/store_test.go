@@ -22,47 +22,6 @@ func storeStatsFixture(rank int) metrics.StoreStats {
 	}
 }
 
-func TestStoreWireRoundTrip(t *testing.T) {
-	in := storeStatsFixture(3)
-	enc, err := EncodeStoreStats(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := DecodeStoreStats(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != in {
-		t.Fatalf("round trip mismatch:\n in: %+v\nout: %+v", in, out)
-	}
-	// Encoding is deterministic: same snapshot, same bytes.
-	enc2, _ := EncodeStoreStats(in)
-	if !bytes.Equal(enc, enc2) {
-		t.Fatal("store encoding not deterministic")
-	}
-}
-
-func TestStoreWireRejects(t *testing.T) {
-	enc, err := EncodeStoreStats(storeStatsFixture(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeStoreStats(nil); err == nil {
-		t.Error("empty input accepted")
-	}
-	if _, err := DecodeStoreStats(append([]byte{99}, enc[1:]...)); err == nil {
-		t.Error("wrong version accepted")
-	}
-	for _, cut := range []int{1, 8, len(enc) / 2, len(enc) - 1} {
-		if _, err := DecodeStoreStats(enc[:cut]); err == nil {
-			t.Errorf("truncation at %d accepted", cut)
-		}
-	}
-	if _, err := DecodeStoreStats(append(append([]byte(nil), enc...), 0)); err == nil {
-		t.Error("trailing bytes accepted")
-	}
-}
-
 func TestAggregateStore(t *testing.T) {
 	// Rank order must not matter; rank 1 runs a non-segment engine and
 	// reports the zero snapshot (only Rank set), as the gather contract
