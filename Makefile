@@ -38,6 +38,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzAbortMessage -fuzztime 30s ./internal/collectives
 	$(GO) test -run '^$$' -fuzz FuzzFrameTraceContextDecode -fuzztime 30s ./internal/collectives
 	$(GO) test -run '^$$' -fuzz FuzzTableUnmarshal -fuzztime 30s ./internal/fingerprint
+	$(GO) test -run '^$$' -fuzz FuzzTableMerge -fuzztime 30s ./internal/fingerprint
 	$(GO) test -run '^$$' -fuzz FuzzRestoreMetaUnmarshal -fuzztime 30s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 30s ./internal/telemetry
 	$(GO) test -run '^$$' -fuzz FuzzHybridMetaUnmarshal -fuzztime 30s ./internal/hybrid

@@ -122,6 +122,10 @@ type Recipe struct {
 	FPs []fingerprint.FP
 	// Sizes holds the byte length of each chunk, parallel to FPs.
 	Sizes []int32
+	// Hash is the function FPs were computed with; every verifier of the
+	// dataset's chunks must hash with it. BuildRecipe records
+	// fingerprint.Current.
+	Hash fingerprint.Func
 }
 
 // BuildRecipe creates the recipe for a chunked dataset.
@@ -129,6 +133,7 @@ func BuildRecipe(chunks []Chunk) Recipe {
 	r := Recipe{
 		FPs:   make([]fingerprint.FP, len(chunks)),
 		Sizes: make([]int32, len(chunks)),
+		Hash:  fingerprint.Current,
 	}
 	for i, c := range chunks {
 		r.FPs[i] = c.FP
@@ -166,8 +171,21 @@ func (r Recipe) Unique() []fingerprint.FP {
 }
 
 // Assemble reconstructs the dataset from a lookup function resolving each
-// fingerprint to its content. It verifies lengths and fingerprints.
+// fingerprint to its content. It verifies every chunk's length and its
+// fingerprint under the recipe's function.
 func (r Recipe) Assemble(lookup func(fingerprint.FP) ([]byte, error)) ([]byte, error) {
+	return r.assemble(lookup, true)
+}
+
+// AssembleVerified is Assemble for a lookup that has already checked
+// every chunk it returns against the recipe's function (a restore that
+// falls over to the next replica on a mismatch): lengths are still
+// checked, but no chunk is hashed a second time.
+func (r Recipe) AssembleVerified(lookup func(fingerprint.FP) ([]byte, error)) ([]byte, error) {
+	return r.assemble(lookup, false)
+}
+
+func (r Recipe) assemble(lookup func(fingerprint.FP) ([]byte, error), verify bool) ([]byte, error) {
 	buf := make([]byte, 0, r.TotalBytes())
 	for i, fp := range r.FPs {
 		data, err := lookup(fp)
@@ -178,8 +196,8 @@ func (r Recipe) Assemble(lookup func(fingerprint.FP) ([]byte, error)) ([]byte, e
 			return nil, fmt.Errorf("chunk %d (%s): got %d bytes, recipe says %d",
 				i, fp.Short(), len(data), r.Sizes[i])
 		}
-		if fingerprint.Of(data) != fp {
-			return nil, fmt.Errorf("chunk %d: content does not match fingerprint %s", i, fp.Short())
+		if verify && r.Hash.Of(data) != fp {
+			return nil, fmt.Errorf("chunk %d: content does not match %v fingerprint %s", i, r.Hash, fp.Short())
 		}
 		buf = append(buf, data...)
 	}

@@ -2,6 +2,7 @@ package chunk
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -150,6 +151,91 @@ func TestDecodeRecipeRejectsTruncation(t *testing.T) {
 		if err := back.UnmarshalBinary(blob[:cut]); err == nil {
 			t.Errorf("cut at %d: expected error", cut)
 		}
+	}
+}
+
+// legacyRecipeBlob writes a recipe in the layout used before recipes
+// named their fingerprint function: u32 count, then (FP, u32 size) pairs,
+// with SHA-1 fingerprints.
+func legacyRecipeBlob(chunks [][]byte) []byte {
+	blob := binary.BigEndian.AppendUint32(nil, uint32(len(chunks)))
+	for _, c := range chunks {
+		fp := fingerprint.SHA1.Of(c)
+		blob = append(blob, fp[:]...)
+		blob = binary.BigEndian.AppendUint32(blob, uint32(len(c)))
+	}
+	return blob
+}
+
+func TestRecipeRecordsFunction(t *testing.T) {
+	r := BuildRecipe(NewFixed(4).Split([]byte("aaaabbbbcc")))
+	if r.Hash != fingerprint.Current {
+		t.Fatalf("BuildRecipe recorded %v, want %v", r.Hash, fingerprint.Current)
+	}
+	blob, err := r.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(blob[:len(recipeMagic)]) != recipeMagic || fingerprint.Func(blob[len(recipeMagic)]) != fingerprint.Current {
+		t.Fatalf("encoding does not open with the function prefix: % x", blob[:8])
+	}
+	var back Recipe
+	if err := back.UnmarshalBinary(blob); err != nil {
+		t.Fatal(err)
+	}
+	if back.Hash != r.Hash {
+		t.Fatalf("decoded function %v, want %v", back.Hash, r.Hash)
+	}
+	bad := append([]byte(nil), blob...)
+	bad[len(recipeMagic)] = 0x7f
+	if err := back.UnmarshalBinary(bad); err == nil {
+		t.Fatal("decoded a recipe naming an unknown function")
+	}
+}
+
+// TestLegacyRecipe checks that a recipe written before the function was
+// recorded decodes as SHA-1, assembles under SHA-1 verification, and
+// re-encodes to the same bytes.
+func TestLegacyRecipe(t *testing.T) {
+	chunks := [][]byte{[]byte("aaaa"), []byte("bbbb"), []byte("aaaa"), []byte("cc")}
+	blob := legacyRecipeBlob(chunks)
+	r, rest, err := DecodeRecipe(blob)
+	if err != nil || len(rest) != 0 {
+		t.Fatalf("decode: %v (%d bytes left)", err, len(rest))
+	}
+	if r.Hash != fingerprint.SHA1 {
+		t.Fatalf("legacy recipe decoded as %v, want sha1", r.Hash)
+	}
+	index := make(map[fingerprint.FP][]byte)
+	for _, c := range chunks {
+		index[fingerprint.SHA1.Of(c)] = c
+	}
+	out, err := r.Assemble(func(fp fingerprint.FP) ([]byte, error) { return index[fp], nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(out) != "aaaabbbbaaaacc" {
+		t.Fatalf("assembled %q", out)
+	}
+	again, err := r.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, blob) {
+		t.Fatal("legacy recipe re-encoded differently")
+	}
+}
+
+// TestAssembleVerifiedTrustsLookup pins the split of duties: a lookup
+// that verified its chunks is not second-guessed, but lengths still are.
+func TestAssembleVerifiedTrustsLookup(t *testing.T) {
+	r := BuildRecipe(NewFixed(4).Split([]byte("aaaabbbb")))
+	out, err := r.AssembleVerified(func(fingerprint.FP) ([]byte, error) { return []byte("XXXX"), nil })
+	if err != nil || string(out) != "XXXXXXXX" {
+		t.Fatalf("AssembleVerified = %q, %v", out, err)
+	}
+	if _, err := r.AssembleVerified(func(fingerprint.FP) ([]byte, error) { return []byte("X"), nil }); err == nil {
+		t.Fatal("AssembleVerified accepted a wrong-size chunk")
 	}
 }
 

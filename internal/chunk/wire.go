@@ -9,15 +9,30 @@ import (
 
 // Wire format of a Recipe (big endian):
 //
-//	u32 nChunks | nChunks × (20-byte FP | u32 size)
+//	[recipeMagic | u8 function id] | u32 nChunks | nChunks × (20-byte FP | u32 size)
+//
+// The bracketed prefix names the fingerprint function. A recipe without
+// it is a legacy recipe, written before the function was recorded, and
+// its fingerprints are SHA-1; SHA-1 recipes are still written that way,
+// so legacy checkpoints re-persist byte for byte. Read as a legacy count,
+// the magic would be 2^32-1 chunks, a 100 GiB recipe, so the two forms
+// cannot be confused.
+const recipeMagic = "\xff\xff\xff\xff"
 
 // MarshalBinary encodes the recipe for persistence or transmission.
 func (r Recipe) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, 0, 4+r.Len()*(fingerprint.Size+4))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(r.Len()))
+	if !r.Hash.Valid() {
+		return nil, fmt.Errorf("chunk: recipe names unknown fingerprint function %d", r.Hash)
+	}
 	if len(r.Sizes) != len(r.FPs) {
 		return nil, fmt.Errorf("chunk: recipe has %d fingerprints but %d sizes", len(r.FPs), len(r.Sizes))
 	}
+	buf := make([]byte, 0, 9+r.Len()*(fingerprint.Size+4))
+	if r.Hash != fingerprint.SHA1 {
+		buf = append(buf, recipeMagic...)
+		buf = append(buf, byte(r.Hash))
+	}
+	buf = binary.BigEndian.AppendUint32(buf, uint32(r.Len()))
 	for i, fp := range r.FPs {
 		buf = append(buf, fp[:]...)
 		buf = binary.BigEndian.AppendUint32(buf, uint32(r.Sizes[i]))
@@ -25,9 +40,8 @@ func (r Recipe) MarshalBinary() ([]byte, error) {
 	return buf, nil
 }
 
-// UnmarshalBinary decodes a recipe encoded by MarshalBinary. It also
-// returns how many bytes it consumed, so recipes can be embedded in
-// larger blobs.
+// UnmarshalBinary decodes a recipe encoded by MarshalBinary, or a legacy
+// recipe without the function prefix.
 func (r *Recipe) UnmarshalBinary(data []byte) error {
 	_, err := r.decode(data)
 	return err
@@ -35,6 +49,14 @@ func (r *Recipe) UnmarshalBinary(data []byte) error {
 
 // decode parses a recipe from the front of data, returning the remainder.
 func (r *Recipe) decode(data []byte) ([]byte, error) {
+	r.Hash = fingerprint.SHA1
+	if len(data) > len(recipeMagic) && string(data[:len(recipeMagic)]) == recipeMagic {
+		r.Hash = fingerprint.Func(data[len(recipeMagic)])
+		data = data[len(recipeMagic)+1:]
+		if !r.Hash.Valid() {
+			return nil, fmt.Errorf("chunk: recipe names unknown fingerprint function %d", r.Hash)
+		}
+	}
 	if len(data) < 4 {
 		return nil, fmt.Errorf("chunk: recipe header truncated (%d bytes)", len(data))
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,10 +43,11 @@ type Result struct {
 type item struct {
 	ch       chunk.Chunk
 	partners []int
-	// entry is the chunk's global-view entry when it has designated
-	// ranks and fewer than K of them (coll-dedup only): its replica
-	// targets are refined after partner identities are known.
-	entry *fingerprint.Entry
+	// ranks are the chunk's designated ranks in the global view when
+	// this rank is one of them and there are fewer than K (coll-dedup
+	// only): its replica targets are refined once partner identities
+	// are known.
+	ranks []int32
 }
 
 // prefix returns the partner indices 1..p.
@@ -261,6 +263,15 @@ func dumpOutput(c collectives.Comm, store storage.Store, buf []byte, o Options, 
 	// holders (a correctness refinement over the paper; see DESIGN.md).
 	// The refined per-partner loads are allgathered again so the offset
 	// planning (Algorithm 3) stays exact.
+	//
+	// The load-aware shuffle is a heuristic over the provisional totals,
+	// and refinement moves load after it, so coll-dedup also refines
+	// under the identity permutation and exchanges both refined load
+	// vectors in the same allgather; every rank then keeps the
+	// permutation whose planned max window is lower (ties keep the
+	// shuffle), so shuffling never loses to identity. A rack-aware
+	// shuffle is kept unconditionally: identity could break its rack
+	// spread.
 	totals := make([]int64, n)
 	for r, row := range sendLoad {
 		for d := 1; d < o.K; d++ {
@@ -269,9 +280,17 @@ func dumpOutput(c collectives.Comm, store storage.Store, buf []byte, o Options, 
 	}
 	done = ph.Begin(metrics.Planning)
 	shuffle := SelectShuffle(totals, o)
+	var identity []int // the second candidate, when there is one
 	if o.Approach == CollDedup {
+		load = nil
+		if o.Topology == nil && !isIdentity(shuffle) {
+			identity = IdentityShuffle(n)
+			refineTargets(items, identity, o.K, me)
+			load = sendLoads(items, o.K)
+			resetTargets(items, o.K, me)
+		}
 		refineTargets(items, shuffle, o.K, me)
-		load = sendLoads(items, o.K)
+		load = append(sendLoads(items, o.K), load...)
 	}
 	done()
 	if o.Approach == CollDedup {
@@ -285,7 +304,12 @@ func dumpOutput(c collectives.Comm, store storage.Store, buf []byte, o Options, 
 		m.LoadExchangeBytes += c.Stats().BytesSent - pre.BytesSent
 	}
 	done = ph.Begin(metrics.Planning)
-	plan, err := NewPlan(shuffle, sendLoad, o.K)
+	plan, err := choosePlan(shuffle, identity, sendLoad, o.K)
+	if err == nil && identity != nil && isIdentity(plan.Shuffle) {
+		// Identity won: the items hold the shuffle's targets.
+		resetTargets(items, o.K, me)
+		refineTargets(items, identity, o.K, me)
+	}
 	done()
 	if err != nil {
 		return nil, fmt.Errorf("rank %d plan: %w", me, err)
@@ -551,8 +575,8 @@ func classify(c collectives.Comm, all, uniq []chunk.Chunk, leaf *fingerprint.Tab
 		items := make([]item, 0, len(uniq))
 		hints := make(map[fingerprint.FP][]int32)
 		for _, ch := range uniq {
-			e := global.Lookup(ch.FP)
-			if e == nil {
+			e, ok := global.Lookup(ch.FP)
+			if !ok {
 				// Treated as globally unique: classic replication.
 				items = append(items, item{ch: ch, partners: prefix(o.K - 1)})
 				m.UniqueContentBytes += int64(len(ch.Data))
@@ -580,7 +604,7 @@ func classify(c collectives.Comm, all, uniq []chunk.Chunk, leaf *fingerprint.Tab
 			// designated ranks; we serve the slots congruent to our
 			// index in the designated list.
 			p := roundRobinShare(o.K, d, idx)
-			items = append(items, item{ch: ch, partners: prefix(p), entry: e})
+			items = append(items, item{ch: ch, partners: prefix(p), ranks: e.Ranks})
 		}
 		return items, hints, global, nil
 
@@ -608,9 +632,11 @@ func sendsTo(it item, d int) bool {
 // on targets that avoid holders and each other, falling back to the
 // paper's behaviour only when the partner sets leave no choice.
 //
-// Only this rank's items are rewritten, but the slot walk below evolves
-// identically on every designated rank of a fingerprint, so their target
-// choices are consistent without communication.
+// Only this rank's items are rewritten, in place, but the slot walk
+// below evolves identically on every designated rank of a fingerprint,
+// so their target choices are consistent without communication. The
+// walk's bookkeeping lives in scratch slices reused across items, so a
+// refinement allocates nothing per item.
 func refineTargets(items []item, shuffle []int, k int, me int) {
 	n := len(shuffle)
 	pos := make([]int, n)
@@ -619,41 +645,41 @@ func refineTargets(items []item, shuffle []int, k int, me int) {
 	}
 	partnerOf := func(rank, d int) int { return shuffle[(pos[rank]+d)%n] }
 
+	// taken holds the nodes already holding or targeted by a copy;
+	// used[s*k+di] marks partner index di as used by the s-th designated
+	// rank.
+	var taken []int
+	var used []bool
 	for i := range items {
-		e := items[i].entry
-		if e == nil || len(items[i].partners) == 0 {
+		ranks := items[i].ranks
+		if ranks == nil || len(items[i].partners) == 0 {
 			continue
 		}
-		d := len(e.Ranks)
+		d := len(ranks)
 		missing := k - d
 		// Walk the round-robin slots exactly as every designated rank
 		// does, tracking covered nodes; record the choices made by me.
-		taken := make(map[int]bool, k)
-		for _, r := range e.Ranks {
-			taken[int(r)] = true
+		taken = taken[:0]
+		for _, r := range ranks {
+			taken = append(taken, int(r))
 		}
-		used := make(map[int32]map[int]bool, d) // sender -> used partner idx
+		used = append(used[:0], make([]bool, d*k)...)
 		// Rotate the partner-index search start per fingerprint so
 		// copies spread evenly over partner slots group-wide; a fixed
 		// start would funnel every first copy at partner 1, breaking
 		// the even per-partner split Algorithm 2's balancing assumes.
-		start := 1 + int(e.FP[0])%(k-1)
-		var mine []int
+		start := 1 + int(items[i].ch.FP[0])%(k-1)
+		mine := items[i].partners[:0]
 		for j := 0; j < missing; j++ {
-			sender := e.Ranks[j%d]
-			if used[sender] == nil {
-				used[sender] = make(map[int]bool, k)
-			}
+			sender := int(ranks[j%d])
+			u := used[(j%d)*k : (j%d+1)*k]
 			chosen := -1
 			// First choice: first unused partner index (scanning from
 			// the rotated start) whose rank is not already a holder or
 			// target.
 			for o := 0; o < k-1; o++ {
 				di := 1 + (start-1+o)%(k-1)
-				if used[sender][di] {
-					continue
-				}
-				if !taken[partnerOf(int(sender), di)] {
+				if !u[di] && !slices.Contains(taken, partnerOf(sender, di)) {
 					chosen = di
 					break
 				}
@@ -661,8 +687,7 @@ func refineTargets(items []item, shuffle []int, k int, me int) {
 			if chosen < 0 {
 				// Fallback (paper behaviour): first unused index.
 				for o := 0; o < k-1; o++ {
-					di := 1 + (start-1+o)%(k-1)
-					if !used[sender][di] {
+					if di := 1 + (start-1+o)%(k-1); !u[di] {
 						chosen = di
 						break
 					}
@@ -671,14 +696,32 @@ func refineTargets(items []item, shuffle []int, k int, me int) {
 			if chosen < 0 {
 				continue // sender exhausted all partners
 			}
-			used[sender][chosen] = true
-			taken[partnerOf(int(sender), chosen)] = true
-			if int(sender) == me {
+			u[chosen] = true
+			taken = append(taken, partnerOf(sender, chosen))
+			if sender == me {
 				mine = append(mine, chosen)
 			}
 		}
 		sortInts(mine)
 		items[i].partners = mine
+	}
+}
+
+// resetTargets undoes refineTargets: every designated item goes back to
+// the paper's first partners, prefix(roundRobinShare(...)), reusing its
+// partner slice (a refinement never grows it).
+func resetTargets(items []item, k, me int) {
+	for i := range items {
+		ranks := items[i].ranks
+		if ranks == nil {
+			continue
+		}
+		idx, _ := slices.BinarySearch(ranks, int32(me))
+		p := items[i].partners[:0]
+		for d := 1; d <= roundRobinShare(k, len(ranks), idx); d++ {
+			p = append(p, d)
+		}
+		items[i].partners = p
 	}
 }
 
@@ -729,7 +772,7 @@ func reduceGlobal(c collectives.Comm, uniq []chunk.Chunk, leaf *fingerprint.Tabl
 		return nil, err
 	}
 	pre := c.Stats()
-	out, err := collectives.Allreduce(c, blob, mergeTables)
+	out, err := collectives.Allreduce(c, blob, fingerprint.MergeBinary)
 	if err != nil {
 		return nil, fmt.Errorf("fingerprint allreduce: %w", err)
 	}
@@ -746,18 +789,46 @@ func reduceGlobal(c collectives.Comm, uniq []chunk.Chunk, leaf *fingerprint.Tabl
 	return global, nil
 }
 
-// mergeTables is the MergeFunc wrapping fingerprint.Table.Merge for the
-// byte-oriented Allreduce.
-func mergeTables(acc, other []byte) ([]byte, error) {
-	var a, b fingerprint.Table
-	if err := a.UnmarshalBinary(acc); err != nil {
+// choosePlan builds the dump's plan. Without a second candidate it is
+// NewPlan(shuffle, sendLoad, k). With one, every sendLoad row holds the
+// loads refined under shuffle followed by those refined under identity,
+// and the candidate with the lower planned max window wins; a tie keeps
+// the shuffle. Every rank sees the same rows, so all choose alike.
+func choosePlan(shuffle, identity []int, sendLoad [][]int64, k int) (*Plan, error) {
+	if identity == nil {
+		return NewPlan(shuffle, sendLoad, k)
+	}
+	shuffled := make([][]int64, len(sendLoad))
+	unshuffled := make([][]int64, len(sendLoad))
+	for r, row := range sendLoad {
+		if len(row) != 2*k {
+			return nil, fmt.Errorf("core: candidate loads of rank %d have %d entries, want %d", r, len(row), 2*k)
+		}
+		shuffled[r], unshuffled[r] = row[:k:k], row[k:]
+	}
+	a, err := NewPlan(shuffle, shuffled, k)
+	if err != nil {
 		return nil, err
 	}
-	if err := b.UnmarshalBinary(other); err != nil {
+	b, err := NewPlan(identity, unshuffled, k)
+	if err != nil {
 		return nil, err
 	}
-	a.Merge(&b)
-	return a.MarshalBinary()
+	if slices.Max(b.RecvBytesByRank()) < slices.Max(a.RecvBytesByRank()) {
+		return b, nil
+	}
+	return a, nil
+}
+
+// isIdentity reports whether the permutation maps every position to
+// itself.
+func isIdentity(perm []int) bool {
+	for p, r := range perm {
+		if p != r {
+			return false
+		}
+	}
+	return true
 }
 
 // sendLoads builds the paper's Load vector in bytes: Load[0] is the local

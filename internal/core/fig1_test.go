@@ -61,8 +61,8 @@ func TestFigure1Nutshell(t *testing.T) {
 	chunker := chunk.NewFixed(testPage)
 	sharedFP := chunker.Split(page("fig1-A"))[0].FP
 	for r, res := range results {
-		e := res.Global.Lookup(sharedFP)
-		if e == nil {
+		e, ok := res.Global.Lookup(sharedFP)
+		if !ok {
 			t.Fatalf("shared chunk missing from global view")
 		}
 		if got := int(e.Freq); got != 3 {

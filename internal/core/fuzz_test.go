@@ -8,14 +8,15 @@ import (
 	"dedupcr/internal/fingerprint"
 )
 
-// fuzzMetaSeed builds one well-formed RestoreMeta encoding.
-func fuzzMetaSeed(f *testing.F) []byte {
+// fuzzMetaSeed builds one well-formed RestoreMeta encoding whose recipe
+// names hash; SHA-1 recipes encode in the legacy layout.
+func fuzzMetaSeed(f *testing.F, hash fingerprint.Func) []byte {
 	var fp1, fp2 fingerprint.FP
 	fp1[0], fp2[0] = 1, 2
 	m := &RestoreMeta{
 		Rank:   2,
 		K:      3,
-		Recipe: chunk.Recipe{FPs: []fingerprint.FP{fp1, fp2, fp1}, Sizes: []int32{4096, 4096, 100}},
+		Recipe: chunk.Recipe{FPs: []fingerprint.FP{fp1, fp2, fp1}, Sizes: []int32{4096, 4096, 100}, Hash: hash},
 		Hints:  map[fingerprint.FP][]int32{fp2: {0, 1}},
 	}
 	blob, err := m.MarshalBinary()
@@ -29,8 +30,11 @@ func fuzzMetaSeed(f *testing.F) []byte {
 // arbitrary bytes: hint counts are peer-controlled and must be bounded
 // before they size the hint map.
 func FuzzRestoreMetaUnmarshal(f *testing.F) {
-	valid := fuzzMetaSeed(f)
+	valid := fuzzMetaSeed(f, fingerprint.Current)
 	f.Add(valid)
+	f.Add(fuzzMetaSeed(f, fingerprint.SHA1))
+	data := [][]byte{[]byte("legacy"), []byte("meta")}
+	f.Add(legacyMetaBlob(1, 2, []fingerprint.FP{fingerprint.SHA1.Of(data[0]), fingerprint.SHA1.Of(data[1])}, data, nil))
 	f.Add(valid[:6])
 	f.Add(append(valid, 1, 2, 3))
 	// Corrupt the trailing hint count upward.

@@ -41,7 +41,7 @@ func buildRefineCase(rng *rand.Rand) (n, k int, e *fingerprint.Entry, shuffle []
 		items := []item{{
 			ch:       chunk.Chunk{FP: e.FP},
 			partners: prefix(share),
-			entry:    e,
+			ranks:    e.Ranks,
 		}}
 		refineTargets(items, shuffle, k, int(r))
 		byRank[int(r)] = items[0].partners

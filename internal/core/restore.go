@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"dedupcr/internal/collectives"
@@ -118,10 +119,15 @@ func restoreOutput(c collectives.Comm, store storage.Store, name string, rec *tr
 	localFPs := make(map[fingerprint.FP]bool)
 	runs := metrics.RunTracker{R: m}
 
+	// Verify on read: every copy, local or fetched, is hashed once with
+	// the recipe's function before it is used or persisted. A copy that
+	// does not match counts as missing, so a silently corrupted replica
+	// costs a fetch from the next holder, not the restore.
 	var cached []fingerprint.FP
+	hash := meta.Recipe.Hash
 	done = ph.Begin(metrics.Assemble)
-	buf, err := meta.Recipe.Assemble(func(fp fingerprint.FP) ([]byte, error) {
-		if data, err := timed.GetChunk(fp); err == nil {
+	buf, err := meta.Recipe.AssembleVerified(func(fp fingerprint.FP) ([]byte, error) {
+		if data, err := timed.GetChunk(fp); err == nil && hash.Of(data) == fp {
 			m.LocalChunks++
 			m.LocalBytes += int64(len(data))
 			localFPs[fp] = true
@@ -240,19 +246,20 @@ func loadMeta(c collectives.Comm, store storage.Store, fs *fetch.Stats, name str
 }
 
 // fetchChunk pulls fp from peers: designated ranks first (the hint path),
-// then every other rank. It reports which peer served the chunk.
+// then every other rank. A copy that does not hash to fp under the
+// recipe's function is skipped like a miss. It reports which peer served
+// the chunk.
 func fetchChunk(c collectives.Comm, meta *RestoreMeta, fs *fetch.Stats, fp fingerprint.FP) ([]byte, int, error) {
 	me, n := c.Rank(), c.Size()
-	tried := make(map[int]bool, n)
-	tried[me] = true
+	hints := meta.Hints[fp]
 	try := func(peer int) ([]byte, bool, error) {
-		if tried[peer] {
-			return nil, false, nil
-		}
-		tried[peer] = true
-		return fs.Chunk(c, fetchClass, peer, fp)
+		data, ok, err := fs.Chunk(c, fetchClass, peer, fp)
+		return data, ok && meta.Recipe.Hash.Of(data) == fp, err
 	}
-	for _, r := range meta.Hints[fp] {
+	for _, r := range hints {
+		if int(r) == me {
+			continue
+		}
 		data, ok, err := try(int(r))
 		if err != nil {
 			return nil, -1, err
@@ -261,8 +268,12 @@ func fetchChunk(c collectives.Comm, meta *RestoreMeta, fs *fetch.Stats, fp finge
 			return data, int(r), nil
 		}
 	}
+	// The sweep skips the hinted ranks, already asked above.
 	for d := 1; d < n; d++ {
 		peer := (me + d) % n
+		if slices.Contains(hints, int32(peer)) {
+			continue
+		}
 		data, ok, err := try(peer)
 		if err != nil {
 			return nil, -1, err

@@ -79,8 +79,8 @@ func BenchmarkLocalLeaf(b *testing.B) {
 	}
 }
 
-// BenchmarkFingerprint measures SHA-1 over one 4 KiB page, the per-chunk
-// hashing cost every approach except no-dedup pays.
+// BenchmarkFingerprint measures the current function over one 4 KiB
+// page, the per-chunk hashing cost every approach except no-dedup pays.
 func BenchmarkFingerprint(b *testing.B) {
 	page := make([]byte, 4096)
 	b.SetBytes(4096)

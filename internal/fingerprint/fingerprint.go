@@ -1,48 +1,87 @@
-// Package fingerprint provides content fingerprints for fixed-size chunks
-// and the frequency-merge machinery (HMERGE) at the heart of the collective
+// Package fingerprint provides content fingerprints for chunks and the
+// frequency-merge machinery (HMERGE) at the heart of the collective
 // deduplication scheme: a bounded table of the F most frequent fingerprints,
 // each mapped to its global frequency and a load-balanced list of at most K
 // designated ranks.
 package fingerprint
 
 import (
+	"cmp"
 	"crypto/sha1"
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 )
 
-// Size is the byte length of a fingerprint (SHA-1 digest).
-const Size = sha1.Size
+// Size is the byte length of a fingerprint: 160 bits, the width of the
+// paper's SHA-1 digest, kept by every function so every wire, index and
+// metadata format has one fingerprint width.
+const Size = 20
 
-// FP is a content fingerprint of a chunk. The paper uses SHA-1, a
-// crypto-grade hash chosen to make collisions negligible in practice.
+// FP is a content fingerprint of a chunk.
 type FP [Size]byte
 
-// Of computes the fingerprint of data.
-func Of(data []byte) FP {
-	return FP(sha1.Sum(data))
+// Func identifies the function a checkpoint's fingerprints were computed
+// with. It is a property of the checkpoint: the recipe records it, and
+// every verifier hashes with the recipe's function, so checkpoints
+// written before a change of function stay restorable.
+type Func uint8
+
+const (
+	// SHA256 is SHA-256 truncated to its first 160 bits, the function of
+	// every new checkpoint. It is the zero Func.
+	SHA256 Func = 0
+	// SHA1 is the paper's SHA-1, kept to read checkpoints written before
+	// the switch to SHA256.
+	SHA1 Func = 1
+)
+
+// Current is the function new dumps fingerprint with.
+const Current = SHA256
+
+// Valid reports whether h names a known function.
+func (h Func) Valid() bool { return h == SHA256 || h == SHA1 }
+
+// String names the function.
+func (h Func) String() string {
+	switch h {
+	case SHA256:
+		return "sha256/160"
+	case SHA1:
+		return "sha1"
+	}
+	return fmt.Sprintf("func(%d)", uint8(h))
 }
 
-// BatchOf fingerprints every span into dst (dst[i] = Of(spans[i])),
-// reusing one digest state across the whole batch and writing each
-// result in place. Hashing a cache-resident batch this way — no
-// per-chunk digest construction, no result copy through the stack —
-// is what the chunk package's hash pool calls per shard, so the
-// fingerprint phase gets faster at Parallelism=1, not just wider.
+// Of computes the fingerprint of data under h. It panics on an invalid
+// Func; decoders reject unknown ids before they reach a verifier.
+func (h Func) Of(data []byte) FP {
+	switch h {
+	case SHA256:
+		s := sha256.Sum256(data)
+		return FP(s[:Size])
+	case SHA1:
+		return FP(sha1.Sum(data))
+	}
+	panic(fmt.Sprintf("fingerprint: unknown function %d", uint8(h)))
+}
+
+// Of computes the fingerprint of data under the Current function.
+func Of(data []byte) FP { return Current.Of(data) }
+
+// BatchOf fingerprints every span into dst (dst[i] = Of(spans[i])).
+// Each digest is computed on the stack and written into dst[i], so a
+// batch allocates nothing; the chunk package's hash pool calls it per
+// shard while the spans are still cache-resident from the boundary scan.
 // Results are bit-identical to per-span Of calls (the batch tests and
 // fuzzer pin this); dst must hold at least len(spans) entries.
 func BatchOf(dst []FP, spans ...[]byte) {
 	if len(dst) < len(spans) {
 		panic(fmt.Sprintf("fingerprint: BatchOf dst %d shorter than spans %d", len(dst), len(spans)))
 	}
-	h := sha1.New()
 	for i, s := range spans {
-		h.Reset()
-		h.Write(s)
-		// Sum appends into dst[i]'s backing array (cap Size, len 0):
-		// the digest lands directly in the destination fingerprint.
-		h.Sum(dst[i][:0])
+		dst[i] = Of(s)
 	}
 }
 
@@ -54,26 +93,19 @@ func (f FP) Short() string { return hex.EncodeToString(f[:4]) }
 
 // Less orders fingerprints lexicographically. Used for deterministic
 // iteration orders in the reduction.
-func (f FP) Less(g FP) bool {
-	for i := 0; i < Size; i++ {
-		if f[i] != g[i] {
-			return f[i] < g[i]
-		}
-	}
-	return false
-}
+func (f FP) Less(g FP) bool { return f.Compare(g) < 0 }
 
-// Compare returns -1, 0 or +1 comparing f and g lexicographically.
+// Compare returns -1, 0 or +1 comparing f and g lexicographically. It
+// compares big-endian words, which orders exactly like the bytes.
 func (f FP) Compare(g FP) int {
-	for i := 0; i < Size; i++ {
-		switch {
-		case f[i] < g[i]:
-			return -1
-		case f[i] > g[i]:
-			return 1
-		}
+	be := binary.BigEndian
+	if c := cmp.Compare(be.Uint64(f[0:]), be.Uint64(g[0:])); c != 0 {
+		return c
 	}
-	return 0
+	if c := cmp.Compare(be.Uint64(f[8:]), be.Uint64(g[8:])); c != 0 {
+		return c
+	}
+	return cmp.Compare(be.Uint32(f[16:]), be.Uint32(g[16:]))
 }
 
 // Marshal appends the wire form of f to dst and returns the result.

@@ -2,16 +2,44 @@ package fingerprint
 
 import (
 	"bytes"
-	"crypto/sha1"
 	"testing"
 	"testing/quick"
 )
 
-func TestOfMatchesSHA1(t *testing.T) {
-	data := []byte("the quick brown fox")
-	want := sha1.Sum(data)
-	if got := Of(data); got != FP(want) {
-		t.Fatalf("Of() = %s, want %x", got, want)
+// TestKnownAnswers pins both functions to the FIPS 180 "abc" vectors:
+// SHA-1 in full, SHA-256 truncated to its first 160 bits. A checkpoint's
+// fingerprints are persisted, so a function may never drift.
+func TestKnownAnswers(t *testing.T) {
+	cases := []struct {
+		h    Func
+		want string
+	}{
+		{SHA1, "a9993e364706816aba3e25717850c26c9cd0d89d"},
+		{SHA256, "ba7816bf8f01cfea414140de5dae2223b00361a3"},
+	}
+	for _, c := range cases {
+		if got := c.h.Of([]byte("abc")).String(); got != c.want {
+			t.Errorf("%v(abc) = %s, want %s", c.h, got, c.want)
+		}
+	}
+	if Of([]byte("abc")) != Current.Of([]byte("abc")) {
+		t.Error("Of differs from Current.Of")
+	}
+	var dst [1]FP
+	BatchOf(dst[:], []byte("abc"))
+	if got := dst[0].String(); got != cases[1].want {
+		t.Errorf("BatchOf(abc) = %s, want %s", got, cases[1].want)
+	}
+}
+
+func TestFuncValid(t *testing.T) {
+	for _, h := range []Func{SHA256, SHA1} {
+		if !h.Valid() {
+			t.Errorf("%v not valid", h)
+		}
+	}
+	if Func(2).Valid() {
+		t.Error("unknown function id accepted")
 	}
 }
 

@@ -28,6 +28,13 @@ func FuzzHybridMetaUnmarshal(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(valid)
+	m.Recipe.Hash = fingerprint.SHA1
+	legacy, err := m.marshal()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(legacy)
+	f.Add(legacyMetaBlob(0, 2, 4, []fingerprint.FP{fp1}, []int{64}, []fingerprint.FP{fp1}, 68))
 	f.Add(valid[:12])
 	f.Add(append(valid, 0))
 	// Corrupt the hint count upward.

@@ -39,8 +39,8 @@ func Protect(c collectives.Comm, store storage.Store, buf []byte, o Options) (*R
 	var keep, remainder []chunk.Chunk
 	hints := make(map[fingerprint.FP][]int32)
 	for _, ch := range uniq {
-		e := global.Lookup(ch.FP)
-		if e == nil {
+		e, ok := global.Lookup(ch.FP)
+		if !ok {
 			keep = append(keep, ch)
 			remainder = append(remainder, ch)
 			continue
@@ -221,17 +221,7 @@ func reduceGlobal(c collectives.Comm, uniq []chunk.Chunk, o Options) (*fingerpri
 	if err != nil {
 		return nil, err
 	}
-	out, err := collectives.Allreduce(c, blob, func(acc, other []byte) ([]byte, error) {
-		var a, b fingerprint.Table
-		if err := a.UnmarshalBinary(acc); err != nil {
-			return nil, err
-		}
-		if err := b.UnmarshalBinary(other); err != nil {
-			return nil, err
-		}
-		a.Merge(&b)
-		return a.MarshalBinary()
-	})
+	out, err := collectives.Allreduce(c, blob, fingerprint.MergeBinary)
 	if err != nil {
 		return nil, fmt.Errorf("fingerprint allreduce: %w", err)
 	}

@@ -73,7 +73,7 @@ func RestoreOutput(c collectives.Comm, store storage.Store, name string, rec *tr
 		done = ph.Begin(metrics.ShardRecover)
 		shard, rerr := recoverShard(c, timed, fs, m, ge, name)
 		if rerr == nil {
-			shardChunks, rerr = parseShard(shard, m.ShardFPs)
+			shardChunks, rerr = parseShard(shard, m.ShardFPs, m.Recipe.Hash)
 		}
 		done()
 		if rerr != nil {
@@ -139,7 +139,7 @@ func RestoreOutput(c collectives.Comm, store storage.Store, name string, rec *tr
 			if err != nil {
 				return nil, err
 			}
-			shardChunks, err = parseShard(shard, m.ShardFPs)
+			shardChunks, err = parseShard(shard, m.ShardFPs, m.Recipe.Hash)
 			lazyRecover += time.Since(t0)
 			if err != nil {
 				return nil, err
@@ -289,8 +289,9 @@ func recoverShard(c collectives.Comm, store storage.Store, fs *fetch.Stats, m *m
 }
 
 // parseShard splits a framed shard back into chunks and verifies them
-// against the expected fingerprints.
-func parseShard(shard []byte, fps []fingerprint.FP) (map[fingerprint.FP][]byte, error) {
+// against the expected fingerprints, computed with hash (the recipe's
+// function: shard and recipe come from the same dump).
+func parseShard(shard []byte, fps []fingerprint.FP, hash fingerprint.Func) (map[fingerprint.FP][]byte, error) {
 	out := make(map[fingerprint.FP][]byte, len(fps))
 	cur := 0
 	for i, fp := range fps {
@@ -304,7 +305,7 @@ func parseShard(shard []byte, fps []fingerprint.FP) (map[fingerprint.FP][]byte, 
 		}
 		data := shard[cur : cur+size]
 		cur += size
-		if fingerprint.Of(data) != fp {
+		if hash.Of(data) != fp {
 			return nil, fmt.Errorf("shard record %d does not match fingerprint %s", i, fp.Short())
 		}
 		out[fp] = data
